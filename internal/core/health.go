@@ -233,7 +233,11 @@ type HealthMonitor struct {
 	win  int // samples per health window
 	rate float64
 
+	// buf holds samples past the last judged window; judged windows are
+	// dropped from its front in place, and view is the reusable header of
+	// the window being judged (session scratch, see DESIGN.md §13).
 	buf         *sigproc.Signal
+	view        sigproc.Signal
 	consumed    int // healthy samples cleared for synchronization
 	position    int // total samples judged into windows, healthy or not
 	streak      int // consecutive healthy windows while quarantined
@@ -280,8 +284,7 @@ func (h *HealthMonitor) Push(chunk *sigproc.Signal) (HealthReason, error) {
 		return h.health(), err
 	}
 	for h.buf.Len() >= h.win {
-		win := h.buf.Slice(0, h.win)
-		r := checkWindow(win, h.base, h.cfg)
+		r := checkWindow(h.buf.SliceInto(&h.view, 0, h.win), h.base, h.cfg)
 		if r != HealthOK {
 			if !h.quarantined {
 				h.quarantined = true
@@ -291,14 +294,14 @@ func (h *HealthMonitor) Push(chunk *sigproc.Signal) (HealthReason, error) {
 			h.streak = 0
 			h.position += h.win
 			if !h.RecoveryEnabled() {
-				h.buf = &sigproc.Signal{Rate: h.rate}
+				h.buf.DropFront(h.buf.Len())
 				return h.reason, nil
 			}
-			h.buf = h.buf.Slice(h.win, h.buf.Len()).Clone()
+			h.buf.DropFront(h.win)
 			continue
 		}
 		h.position += h.win
-		h.buf = h.buf.Slice(h.win, h.buf.Len()).Clone()
+		h.buf.DropFront(h.win)
 		if h.quarantined {
 			h.streak++
 			if h.streak >= h.cfg.RecoveryWindows {
@@ -346,20 +349,20 @@ func (h *HealthMonitor) Flush() HealthReason {
 			h.at = float64(h.position) / h.rate
 			h.streak = 0
 			h.position += n
-			h.buf = &sigproc.Signal{Rate: h.rate}
+			h.buf.DropFront(n)
 			return r
 		}
 	}
 	h.consumed += n
 	h.position += n
-	h.buf = &sigproc.Signal{Rate: h.rate}
+	h.buf.DropFront(n)
 	return HealthOK
 }
 
 // Reset returns the monitor to its freshly constructed state (healthy, no
 // buffered samples) so it can be pooled across print sessions.
 func (h *HealthMonitor) Reset() {
-	h.buf = &sigproc.Signal{Rate: h.rate}
+	h.buf.DropFront(h.buf.Len())
 	h.consumed = 0
 	h.position = 0
 	h.streak = 0

@@ -1,12 +1,20 @@
 // Package fft implements the discrete Fourier transform with an iterative
 // radix-2 Cooley-Tukey kernel and Bluestein's algorithm for arbitrary
 // lengths. It is the numerical substrate of the STFT/spectrogram pipeline
-// (Table III of the paper).
+// (Table III of the paper) and of the TDE fast path.
+//
+// Everything about a transform that does not depend on its input — the
+// radix-2 twiddle factors and the Bluestein chirp and kernel spectrum — is
+// built once per size and direction and cached process-wide, with the same
+// arithmetic a per-call computation would do, so cached transforms are
+// bit-identical to uncached ones.
 package fft
 
 import (
 	"math"
 	"math/cmplx"
+	"sync"
+	"sync/atomic"
 
 	"nsync/internal/scratch"
 )
@@ -92,6 +100,7 @@ func transform(x []complex128, inverse bool) {
 }
 
 // radix2 is the iterative in-place Cooley-Tukey FFT for power-of-two sizes.
+// Its twiddles come from the cached per-direction table (see twiddles).
 func radix2(x []complex128, inverse bool) {
 	n := len(x)
 	// Bit-reversal permutation.
@@ -105,62 +114,117 @@ func radix2(x []complex128, inverse bool) {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	for length := 2; length <= n; length <<= 1 {
-		ang := sign * 2 * math.Pi / float64(length)
-		wl := cmplx.Rect(1, ang)
-		for i := 0; i < n; i += length {
-			w := complex(1, 0)
-			half := length / 2
-			for j := 0; j < half; j++ {
-				u := x[i+j]
-				v := x[i+j+half] * w
-				x[i+j] = u + v
-				x[i+j+half] = u - v
-				w *= wl
+	tw := twiddles(n, inverse)
+	for half := 1; half < n; half <<= 1 {
+		w := tw[half-1 : 2*half-1]
+		for i := 0; i < n; i += 2 * half {
+			lo, hi := x[i:i+half], x[i+half:i+2*half]
+			for j, wj := range w {
+				u := lo[j]
+				v := hi[j] * wj
+				lo[j] = u + v
+				hi[j] = u - v
 			}
 		}
 	}
 }
 
-// blueBuf is the per-transform scratch of bluestein: the chirp factors and
-// the two convolution operands.
-type blueBuf struct {
-	chirp, a, b []complex128
-}
+// twiddleTables caches, per direction, the radix-2 twiddle factors. The
+// stage of butterfly half-length h keeps its h factors at [h-1, 2h-1), and
+// a stage's factors do not depend on the transform size, so the table for
+// n holds every smaller power of two as a prefix: one table per direction,
+// grown to the largest size seen, serves every size.
+var twiddleTables [2]atomic.Pointer[[]complex128]
 
-var bluePool = scratch.Pool[blueBuf]{
-	New: func() *blueBuf { return &blueBuf{} },
-	Poison: func(bb *blueBuf) {
-		poisonComplex(bb.chirp)
-		poisonComplex(bb.a)
-		poisonComplex(bb.b)
-	},
-}
-
-func poisonComplex(s []complex128) {
-	nan := complex(math.NaN(), math.NaN())
-	for i := range s {
-		s[i] = nan
+// twiddles returns the n-1 twiddle factors of an n-point radix-2 transform
+// (n a power of two, n >= 2), building and caching them on first use.
+// Each stage is built by the recurrence w₀ = 1, wⱼ₊₁ = wⱼ·exp(±2πi/length),
+// not by evaluating each factor directly: the exact spectrogram values,
+// and through them the detection thresholds pinned by the benchmark's
+// digests, depend on these factors bit for bit.
+func twiddles(n int, inverse bool) []complex128 {
+	slot := &twiddleTables[0]
+	sign := -1.0
+	if inverse {
+		slot, sign = &twiddleTables[1], 1.0
 	}
+	if tw := slot.Load(); tw != nil && len(*tw) >= n-1 {
+		return (*tw)[:n-1]
+	}
+	tw := make([]complex128, n-1)
+	for length := 2; length <= n; length <<= 1 {
+		wl := cmplx.Rect(1, sign*2*math.Pi/float64(length))
+		stage := tw[length/2-1 : length-1]
+		w := complex(1, 0)
+		for j := range stage {
+			stage[j] = w
+			w *= wl
+		}
+	}
+	// Concurrent builders produce identical prefixes; keep the largest.
+	for {
+		cur := slot.Load()
+		if cur != nil && len(*cur) >= len(tw) {
+			break
+		}
+		if slot.CompareAndSwap(cur, &tw) {
+			break
+		}
+	}
+	return tw
 }
 
-// bluestein converts an arbitrary-length DFT into a power-of-two circular
-// convolution (chirp-z transform).
-func bluestein(x []complex128, inverse bool) {
-	n := len(x)
+// bluePlan is the input-independent half of an n-point Bluestein
+// transform: the chirp factors and the radix-2 spectrum of the convolution
+// kernel built from them.
+type bluePlan struct {
+	chirp  []complex128 // exp(sign·iπk²/n), k = 0..n-1
+	kernel []complex128 // FFT of the length-m conj-chirp kernel
+}
+
+// maxBluePlans bounds the Bluestein plan cache. The pipeline transforms a
+// handful of distinct non-power-of-two lengths (the STFT frame sizes), so
+// the bound only matters to a caller sweeping many lengths: past it, an
+// arbitrary plan is evicted and rebuilt if needed again.
+const maxBluePlans = 32
+
+type blueKey struct {
+	n       int
+	inverse bool
+}
+
+var (
+	blueMu    sync.Mutex
+	bluePlans = make(map[blueKey]*bluePlan)
+)
+
+// bluesteinPlan returns the cached plan for (n, inverse), building it on
+// a miss. Plans are immutable once built, so callers share them freely.
+func bluesteinPlan(n int, inverse bool) *bluePlan {
+	key := blueKey{n, inverse}
+	blueMu.Lock()
+	defer blueMu.Unlock()
+	if p := bluePlans[key]; p != nil {
+		return p
+	}
+	if len(bluePlans) >= maxBluePlans {
+		for k := range bluePlans {
+			delete(bluePlans, k)
+			break
+		}
+	}
+	p := newBluePlan(n, inverse)
+	bluePlans[key] = p
+	return p
+}
+
+func newBluePlan(n int, inverse bool) *bluePlan {
 	sign := -1.0
 	if inverse {
 		sign = 1.0
 	}
-	bb := bluePool.Get()
-	defer bluePool.Put(bb)
 	// Chirp factors w[k] = exp(sign * i * pi * k^2 / n).
-	chirp := scratch.Resize(bb.chirp, n)
-	bb.chirp = chirp
+	chirp := make([]complex128, n)
 	for k := 0; k < n; k++ {
 		// k*k may overflow for very large n if computed in int; use
 		// modular arithmetic on 2n which preserves the angle.
@@ -171,21 +235,51 @@ func bluestein(x []complex128, inverse bool) {
 	for m < 2*n-1 {
 		m <<= 1
 	}
-	a := scratch.ResizeZero(bb.a, m)
-	b := scratch.ResizeZero(bb.b, m)
-	bb.a, bb.b = a, b
-	for k := 0; k < n; k++ {
-		a[k] = x[k] * chirp[k]
-	}
+	b := make([]complex128, m)
 	b[0] = cmplx.Conj(chirp[0])
 	for k := 1; k < n; k++ {
 		b[k] = cmplx.Conj(chirp[k])
 		b[m-k] = b[k]
 	}
-	radix2(a, false)
 	radix2(b, false)
+	return &bluePlan{chirp: chirp, kernel: b}
+}
+
+// blueBuf is the per-transform scratch of bluestein: the convolution
+// operand.
+type blueBuf struct {
+	a []complex128
+}
+
+var bluePool = scratch.Pool[blueBuf]{
+	New:    func() *blueBuf { return &blueBuf{} },
+	Poison: func(bb *blueBuf) { poisonComplex(bb.a) },
+}
+
+func poisonComplex(s []complex128) {
+	nan := complex(math.NaN(), math.NaN())
+	for i := range s {
+		s[i] = nan
+	}
+}
+
+// bluestein converts an arbitrary-length DFT into a power-of-two circular
+// convolution (chirp-z transform) against the plan's cached kernel.
+func bluestein(x []complex128, inverse bool) {
+	n := len(x)
+	p := bluesteinPlan(n, inverse)
+	chirp, kernel := p.chirp, p.kernel
+	m := len(kernel)
+	bb := bluePool.Get()
+	defer bluePool.Put(bb)
+	a := scratch.ResizeZero(bb.a, m)
+	bb.a = a
+	for k := 0; k < n; k++ {
+		a[k] = x[k] * chirp[k]
+	}
+	radix2(a, false)
 	for i := range a {
-		a[i] *= b[i]
+		a[i] *= kernel[i]
 	}
 	radix2(a, true)
 	scale := complex(1/float64(m), 0)

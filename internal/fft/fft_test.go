@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -178,11 +179,22 @@ func BenchmarkForward1024(b *testing.B) {
 	}
 }
 
-func BenchmarkForward1000Bluestein(b *testing.B) {
-	rng := rand.New(rand.NewSource(15))
-	x := randComplex(rng, 1000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Forward(x)
+// BenchmarkBluestein runs the STFT's real-input transform at the
+// non-power-of-two frame lengths the CI scale's spectrograms use.
+func BenchmarkBluestein(b *testing.B) {
+	for _, n := range []int{50, 200, 400} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(15))
+			x := make([]float64, n)
+			for i := range x {
+				x[i] = rng.NormFloat64()
+			}
+			dst := ForwardRealInto(nil, x)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst = ForwardRealInto(dst[:cap(dst)], x)
+			}
+		})
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 
-	"nsync/internal/core"
 	"nsync/internal/registry"
 )
 
@@ -35,7 +34,7 @@ type SharedPool struct {
 	entries map[string]*sharedEntry
 }
 
-// sharedEntry is one resident model and its recycled monitors. refs counts
+// sharedEntry is one resident model and its recycled sinks. refs counts
 // live sinks; pinned entries ignore refs for eviction.
 type sharedEntry struct {
 	version string
@@ -44,7 +43,7 @@ type sharedEntry struct {
 	pinned  bool
 
 	refs int // guarded by the pool's mutex
-	idle []*core.FusedMonitor
+	idle []*sharedSink
 }
 
 // NewSharedPool builds an empty pool backed by store (which may be nil).
@@ -187,7 +186,7 @@ func newSharedEntry(v string, m *registry.Model, pinned bool) *sharedEntry {
 
 // Acquire implements SinkFactory: it resolves the Hello's model (resident,
 // or loaded from the Store and made resident), validates the channel layout
-// against it, and hands out a monitor — recycled if one is idle, freshly
+// against it, and hands out a sink — recycled if one is idle, freshly
 // built otherwise. The entry's refcount is taken before the build runs so a
 // concurrent Release cannot evict the entry out from under it.
 func (p *SharedPool) Acquire(hello *Frame) (Sink, error) {
@@ -221,20 +220,21 @@ func (p *SharedPool) Acquire(hello *Frame) (Sink, error) {
 		return nil, err
 	}
 	e.refs++
-	var fm *core.FusedMonitor
+	var ss *sharedSink
 	if n := len(e.idle); n > 0 {
-		fm, e.idle = e.idle[n-1], e.idle[:n-1]
+		ss, e.idle = e.idle[n-1], e.idle[:n-1]
 	}
 	p.mu.Unlock()
-	if fm == nil {
-		var err error
-		if fm, err = e.model.Monitor(); err != nil {
-			p.mu.Lock()
-			e.refs--
-			p.evictLocked(e)
-			p.mu.Unlock()
-			return nil, err
-		}
+	if ss != nil {
+		return ss, nil
+	}
+	fm, err := e.model.Monitor()
+	if err != nil {
+		p.mu.Lock()
+		e.refs--
+		p.evictLocked(e)
+		p.mu.Unlock()
+		return nil, err
 	}
 	return &sharedSink{MonitorSink: NewMonitorSink(fm, e.specs), entry: e}, nil
 }
@@ -254,9 +254,9 @@ func (p *SharedPool) load(version string) (*sharedEntry, error) {
 	return newSharedEntry(version, m, false), nil
 }
 
-// Release implements SinkFactory: the monitor is reset and parked on its
-// entry's idle list, and an unpinned entry whose last sink just left is
-// evicted along with its recycled monitors.
+// Release implements SinkFactory: the sink's monitor is reset and the sink
+// parked on its entry's idle list, and an unpinned entry whose last sink
+// just left is evicted along with its recycled sinks.
 func (p *SharedPool) Release(s Sink) {
 	ss, ok := s.(*sharedSink)
 	if !ok {
@@ -271,7 +271,7 @@ func (p *SharedPool) Release(s Sink) {
 	e := ss.entry
 	e.refs--
 	if len(e.idle) < maxIdle {
-		e.idle = append(e.idle, ss.fm)
+		e.idle = append(e.idle, ss)
 	}
 	p.evictLocked(e)
 	p.mu.Unlock()

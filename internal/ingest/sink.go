@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"nsync/internal/core"
+	"nsync/internal/scratch"
 	"nsync/internal/sigproc"
 )
 
@@ -63,12 +64,23 @@ type SinkFactory interface {
 type MonitorSink struct {
 	fm    *core.FusedMonitor
 	specs []ChannelSpec
+
+	// frames and chunks are push scratch: one de-interleaved frame per
+	// channel and the chunk list handed to the fused monitor, which copies
+	// what it keeps before Push returns. They survive Release with the sink,
+	// so a pooled sink pushes without allocating (DESIGN.md §13).
+	frames []sigproc.Signal
+	chunks []*sigproc.Signal
 }
 
 // NewMonitorSink wraps a fused monitor whose channels (in order) have the
 // given specs.
 func NewMonitorSink(fm *core.FusedMonitor, specs []ChannelSpec) *MonitorSink {
-	return &MonitorSink{fm: fm, specs: specs}
+	return &MonitorSink{
+		fm: fm, specs: specs,
+		frames: make([]sigproc.Signal, len(specs)),
+		chunks: make([]*sigproc.Signal, len(specs)),
+	}
 }
 
 // Push implements Sink.
@@ -78,15 +90,19 @@ func (s *MonitorSink) Push(ch int, values []float64) error {
 	}
 	lanes := s.specs[ch].Lanes
 	n := len(values) / lanes
-	sig := sigproc.New(s.specs[ch].Rate, lanes, n)
-	for i := 0; i < n; i++ {
-		for l := 0; l < lanes; l++ {
-			sig.Data[l][i] = values[i*lanes+l]
+	sig := &s.frames[ch]
+	sig.Rate = s.specs[ch].Rate
+	sig.Data = scratch.Resize(sig.Data, lanes)
+	for l := range sig.Data {
+		lane := scratch.Resize(sig.Data[l], n)
+		for i := range lane {
+			lane[i] = values[i*lanes+l]
 		}
+		sig.Data[l] = lane
 	}
-	chunks := make([]*sigproc.Signal, len(s.specs))
-	chunks[ch] = sig
-	_, err := s.fm.Push(chunks)
+	s.chunks[ch] = sig
+	_, err := s.fm.Push(s.chunks)
+	s.chunks[ch] = nil
 	return err
 }
 
@@ -134,10 +150,10 @@ func (s *MonitorSink) RestoreState(state []byte) error {
 }
 
 // MonitorPool is a SinkFactory over recycled fused monitors: each Release
-// resets the monitor (core guarantees a reset monitor matches a fresh one)
-// and parks it for the next session, so steady-state operation allocates no
-// new monitors. It admits only sessions whose channel layout and rate match
-// the trained configuration.
+// resets the sink's monitor (core guarantees a reset monitor matches a fresh
+// one) and parks the sink for the next session, so steady-state operation
+// allocates no new monitors or push scratch. It admits only sessions whose
+// channel layout and rate match the trained configuration.
 type MonitorPool struct {
 	// Build constructs a fresh fused monitor from the trained configuration.
 	Build func() (*core.FusedMonitor, error)
@@ -147,7 +163,7 @@ type MonitorPool struct {
 	MaxIdle int
 
 	mu   sync.Mutex
-	idle []*core.FusedMonitor
+	idle []*MonitorSink
 }
 
 // Acquire implements SinkFactory.
@@ -156,16 +172,17 @@ func (p *MonitorPool) Acquire(hello *Frame) (Sink, error) {
 		return nil, err
 	}
 	p.mu.Lock()
-	var fm *core.FusedMonitor
+	var ms *MonitorSink
 	if n := len(p.idle); n > 0 {
-		fm, p.idle = p.idle[n-1], p.idle[:n-1]
+		ms, p.idle = p.idle[n-1], p.idle[:n-1]
 	}
 	p.mu.Unlock()
-	if fm == nil {
-		var err error
-		if fm, err = p.Build(); err != nil {
-			return nil, err
-		}
+	if ms != nil {
+		return ms, nil
+	}
+	fm, err := p.Build()
+	if err != nil {
+		return nil, err
 	}
 	return NewMonitorSink(fm, p.Channels), nil
 }
@@ -183,7 +200,7 @@ func (p *MonitorPool) Release(s Sink) {
 	}
 	p.mu.Lock()
 	if len(p.idle) < maxIdle {
-		p.idle = append(p.idle, ms.fm)
+		p.idle = append(p.idle, ms)
 	}
 	p.mu.Unlock()
 }

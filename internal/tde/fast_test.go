@@ -54,7 +54,7 @@ func TestFastPathMatchesNaive(t *testing.T) {
 }
 
 // TestFastPathFFTBranch forces a problem size that takes the FFT branch of
-// crossDot and checks equivalence there too.
+// crossDotsInto and checks equivalence there too.
 func TestFastPathFFTBranch(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	nx, ny := 1200, 400 // nx*ny > 64k -> FFT branch
@@ -116,40 +116,125 @@ func TestFastPathConstantWindows(t *testing.T) {
 	}
 }
 
-func BenchmarkSimilarityArrayNaive(b *testing.B) {
-	rng := rand.New(rand.NewSource(92))
-	x := sigproc.New(1000, 2, 6000)
-	y := sigproc.New(1000, 2, 2000)
-	for c := 0; c < 2; c++ {
-		for i := range x.Data[c] {
-			x.Data[c][i] = rng.NormFloat64()
-		}
+// embeddedPair builds a random-walk haystack whose live lanes hide a noisy
+// copy of the template at offset at, so delay estimates have one clear
+// winner; lanes listed in constant get a constant template instead.
+func embeddedPair(rng *rand.Rand, channels, nx, ny, at int, constant ...int) (*sigproc.Signal, *sigproc.Signal) {
+	x, y := randomPair(rng, channels, nx, ny)
+	for c := 0; c < channels; c++ {
 		for i := range y.Data[c] {
-			y.Data[c][i] = rng.NormFloat64()
+			y.Data[c][i] = x.Data[c][at+i] + 0.1*rng.NormFloat64()
 		}
 	}
-	est := New(WithoutFastPath())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := est.SimilarityArray(x, y); err != nil {
-			b.Fatal(err)
+	for _, c := range constant {
+		for i := range y.Data[c] {
+			y.Data[c][i] = 3
 		}
+	}
+	return x, y
+}
+
+// TestPackedKernelMatchesNaive covers the shapes the two-lane packed FFT
+// correlation can get wrong: an odd live-lane count (the last lane rides
+// alone), a constant-template lane between live ones (pairing skips it),
+// nx an exact power of two (the FFT is exactly as long as x), nx == ny
+// (a single position), and nx·ny just above the direct-evaluation cutoff.
+// Scores must match the naive sliding method to 1e-9 and the plain and
+// biased delay estimates must pick the same argmax.
+func TestPackedKernelMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(94))
+	cases := []struct {
+		name             string
+		channels, nx, ny int
+		at               int
+		constant         []int
+	}{
+		{name: "odd live lanes", channels: 3, nx: 1500, ny: 500, at: 620},
+		{name: "constant lane between live lanes", channels: 4, nx: 1200, ny: 400, at: 333, constant: []int{1}},
+		{name: "only lane b constant", channels: 2, nx: 1200, ny: 400, at: 90, constant: []int{1}},
+		{name: "nx power of two", channels: 2, nx: 1024, ny: 300, at: 700},
+		{name: "nx equals ny", channels: 2, nx: 300, ny: 300, at: 0},
+		{name: "just above direct cutoff", channels: 3, nx: 257, ny: 256, at: 1},
+	}
+	fast, naive := New(), New(WithoutFastPath())
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.nx*tc.ny <= 64*1024 {
+				t.Fatalf("shape %dx%d takes the direct branch", tc.nx, tc.ny)
+			}
+			x, y := embeddedPair(rng, tc.channels, tc.nx, tc.ny, tc.at, tc.constant...)
+			got, err := fast.SimilarityArray(x, y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := naive.SimilarityArray(x, y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if math.Abs(got[i]-want[i]) > 1e-9 {
+					t.Fatalf("pos %d: packed %v vs naive %v", i, got[i], want[i])
+				}
+			}
+			gd, _, err := fast.Delay(x, y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wd, _, err := naive.Delay(x, y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gd != wd || gd != tc.at {
+				t.Errorf("Delay: packed %d, naive %d, embedded at %d", gd, wd, tc.at)
+			}
+			center := (tc.nx - tc.ny) / 3
+			gb, _, err := fast.DelayBiasedAt(x, y, center, 200)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wb, _, err := naive.DelayBiasedAt(x, y, center, 200)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gb != wb {
+				t.Errorf("DelayBiasedAt: packed %d, naive %d", gb, wb)
+			}
+		})
 	}
 }
 
-func BenchmarkSimilarityArrayFast(b *testing.B) {
-	rng := rand.New(rand.NewSource(93))
-	x := sigproc.New(1000, 2, 6000)
-	y := sigproc.New(1000, 2, 2000)
-	for c := 0; c < 2; c++ {
-		for i := range x.Data[c] {
-			x.Data[c][i] = rng.NormFloat64()
-		}
-		for i := range y.Data[c] {
-			y.Data[c][i] = rng.NormFloat64()
-		}
+// productionShapes are the similarity-array shapes DWM runs per window at
+// the CI scale's defaults (lanes × search samples / window samples).
+var productionShapes = []struct {
+	name             string
+	channels, nx, ny int
+}{
+	{"ACC", 6, 3200, 1600},
+	{"MAG", 3, 800, 400},
+	{"AUD", 2, 38400, 19200},
+}
+
+func BenchmarkSimilarityArray(b *testing.B) {
+	for _, sh := range productionShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			x, y := randomPair(rand.New(rand.NewSource(93)), sh.channels, sh.nx, sh.ny)
+			est := New()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := est.SimilarityArray(x, y); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	est := New()
+}
+
+// BenchmarkSimilarityArrayNaive is the O(Nx*Ny) sliding method at the MAG
+// shape, the reference the fast path is measured against.
+func BenchmarkSimilarityArrayNaive(b *testing.B) {
+	x, y := randomPair(rand.New(rand.NewSource(92)), 3, 800, 400)
+	est := New(WithoutFastPath())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := est.SimilarityArray(x, y); err != nil {

@@ -32,13 +32,20 @@ type corrBuf struct {
 	biased  []float64 // TDEB-weighted copy of scores
 	prefix  []float64 // prefix sums of x
 	prefix2 []float64 // prefix sums of x^2
-	dots    []float64 // sliding cross-terms
+	dots    []float64 // sliding cross-terms of a lane pair
+	live    []int     // lanes whose template is not constant
 	// fx/fy are FFT operands; fz is the whitened cross-spectrum of the
 	// GCC-PHAT path.
 	fx, fy, fz []complex128
 
 	// winData backs the sliding window view of the naive (non-fast) path.
 	winData [][]float64
+
+	// weights caches the TDEB Gaussian by distance from the bias center for
+	// weightSigma (see gaussianWeights). Unlike the buffers above it is a
+	// cache, not scratch: it survives Put and is not poisoned.
+	weights     []float64
+	weightSigma float64
 }
 
 var corrPool = scratch.Pool[corrBuf]{
@@ -49,6 +56,9 @@ var corrPool = scratch.Pool[corrBuf]{
 		poisonFloats(cb.prefix)
 		poisonFloats(cb.prefix2)
 		poisonFloats(cb.dots)
+		for i := range cb.live {
+			cb.live[i] = math.MinInt
+		}
 		nan := complex(math.NaN(), math.NaN())
 		for _, s := range [][]complex128{cb.fx, cb.fy, cb.fz} {
 			for i := range s {
@@ -190,15 +200,7 @@ func (e *Estimator) Delay(x, y *sigproc.Signal) (delay int, score float64, err e
 // (a bigger window weight can only help, never flip the sign of the
 // preference).
 func (e *Estimator) DelayBiased(x, y *sigproc.Signal, sigma float64) (delay int, score float64, err error) {
-	buf := corrPool.Get()
-	defer corrPool.Put(buf)
-	s, err := e.similarityInto(buf, x, y)
-	if err != nil {
-		return 0, 0, err
-	}
-	buf.biased = biasedScoresInto(scratch.Resize(buf.biased, len(s)), s, (len(s)-1)/2, sigma)
-	d := argmax(buf.biased)
-	return d, s[d], nil
+	return e.DelayBiasedAt(x, y, (x.Len()-y.Len())/2, sigma)
 }
 
 // DelayBiasedAt is DelayBiased with the Gaussian bias centered on an
@@ -212,7 +214,8 @@ func (e *Estimator) DelayBiasedAt(x, y *sigproc.Signal, center int, sigma float6
 	if err != nil {
 		return 0, 0, err
 	}
-	buf.biased = biasedScoresInto(scratch.Resize(buf.biased, len(s)), s, center, sigma)
+	w := buf.gaussianWeights(sigma, biasReach(len(s), center))
+	buf.biased = biasedScoresInto(scratch.Resize(buf.biased, len(s)), s, center, w)
 	d := argmax(buf.biased)
 	return d, s[d], nil
 }
@@ -228,12 +231,14 @@ func BiasedScores(s []float64, sigma float64) []float64 {
 // Scores are first shifted to be non-negative so the multiplicative weight
 // acts as a monotone bias.
 func BiasedScoresAt(s []float64, center int, sigma float64) []float64 {
-	return biasedScoresInto(make([]float64, len(s)), s, center, sigma)
+	w := gaussianTable(nil, sigma, biasReach(len(s), center))
+	return biasedScoresInto(make([]float64, len(s)), s, center, w)
 }
 
 // biasedScoresInto writes the biased scores into out (len(out) must equal
-// len(s)) and returns out.
-func biasedScoresInto(out, s []float64, center int, sigma float64) []float64 {
+// len(s)) and returns out. w is a gaussianTable covering s's reach around
+// center.
+func biasedScoresInto(out, s []float64, center int, w []float64) []float64 {
 	if len(s) == 0 {
 		return out
 	}
@@ -244,21 +249,68 @@ func biasedScoresInto(out, s []float64, center int, sigma float64) []float64 {
 		}
 	}
 	for i, v := range s {
-		out[i] = (v - lo) * gaussianWeight(i, center, sigma)
+		d := i - center
+		if d < 0 {
+			d = -d
+		}
+		var wd float64 // past the table's end the weight has underflowed to 0
+		if d < len(w) {
+			wd = w[d]
+		}
+		out[i] = (v - lo) * wd
 	}
 	return out
 }
 
-func gaussianWeight(i, center int, sigma float64) float64 {
-	if sigma <= 0 {
-		if i == center {
-			return 1
-		}
-		return 0
-	}
-	d := float64(i-center) / sigma
-	return math.Exp(-0.5 * d * d)
+// biasReach is the number of weights a length-n array biased at center
+// reads: one past the largest |i-center|.
+func biasReach(n, center int) int {
+	return max(center, -center, n-1-center, center-(n-1)) + 1
 }
+
+// gaussianWeights returns the TDEB weight table for sigma covering at least
+// n distances, rebuilding buf's cached table only when sigma changes or a
+// longer reach is needed. A DWM synchronizer's sigma is fixed, so in steady
+// state every window reuses one table instead of calling math.Exp per score.
+func (buf *corrBuf) gaussianWeights(sigma float64, n int) []float64 {
+	w := buf.weights
+	if sigma == buf.weightSigma && (len(w) >= n || complete(w)) {
+		return w
+	}
+	buf.weights, buf.weightSigma = gaussianTable(buf.weights, sigma, n), sigma
+	return buf.weights
+}
+
+// gaussianTable fills w[d] = exp(-0.5·(d/sigma)²) for d = 0..n-1 (for
+// sigma <= 0: 1 at d = 0, else 0), using dst's backing array when it fits.
+// Each weight is computed exactly as a per-score evaluation at i-center = ±d
+// would be — negation is exact — so lookups are bit-identical to it. The
+// table stops at the first weight that is exactly 0: the Gaussian only
+// decreases, so every later weight underflows to 0 as well, and readers
+// treat distances past the end as weight 0.
+func gaussianTable(dst []float64, sigma float64, n int) []float64 {
+	w := dst[:0]
+	for d := 0; d < n; d++ {
+		var wd float64
+		if sigma <= 0 {
+			if d == 0 {
+				wd = 1
+			}
+		} else {
+			z := float64(d) / sigma
+			wd = math.Exp(-0.5 * z * z)
+		}
+		w = append(w, wd)
+		if wd == 0 {
+			break
+		}
+	}
+	return w
+}
+
+// complete reports whether a weight table already runs to its underflow
+// point, so it serves any reach.
+func complete(w []float64) bool { return len(w) > 0 && w[len(w)-1] == 0 }
 
 func argmax(v []float64) int {
 	best := 0

@@ -247,3 +247,66 @@ func TestWithSimilarity(t *testing.T) {
 		t.Errorf("cosine Delay = %d, want 40", d)
 	}
 }
+
+// perScoreBiased is the TDEB bias as it ran before the weight table: one
+// math.Exp per score.
+func perScoreBiased(s []float64, center int, sigma float64) []float64 {
+	out := make([]float64, len(s))
+	lo := s[0]
+	for _, v := range s {
+		lo = math.Min(lo, v)
+	}
+	for i, v := range s {
+		w := 0.0
+		if sigma <= 0 {
+			if i == center {
+				w = 1
+			}
+		} else {
+			d := float64(i-center) / sigma
+			w = math.Exp(-0.5 * d * d)
+		}
+		out[i] = (v - lo) * w
+	}
+	return out
+}
+
+// TestBiasedWeightTableBitExact drives one corrBuf's cached weight table
+// through sigma changes, growing and shrinking reach, centers outside the
+// array, sigmas wide and narrow enough to reach the underflow cutoff, and
+// sigma <= 0. Every biased array must equal the per-score math.Exp
+// evaluation bit for bit, from the cache and from a fresh table alike.
+func TestBiasedWeightTableBitExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	buf := &corrBuf{}
+	steps := []struct {
+		n, center int
+		sigma     float64
+	}{
+		{401, 200, 25}, {401, 10, 25}, {401, 200, 25}, // cache hits
+		{1601, 800, 25}, {101, 50, 25}, // grow, then a shorter reach
+		{401, -300, 40}, {401, 900, 40}, // centers off the array
+		{3001, 1500, 3},    // narrow: the table stops at underflow
+		{3001, -2000, 3},   // ... and serves any reach after that
+		{401, 200, 400},    // wide: no weight underflows
+		{61, 30, 0},        // sigma 0: a spike at the center
+		{61, 70, -1},       // sigma < 0 behaves as 0
+		{401, 200, 1e-300}, // everything but the center underflows
+	}
+	for _, st := range steps {
+		s := make([]float64, st.n)
+		for i := range s {
+			s[i] = rng.NormFloat64()
+		}
+		want := perScoreBiased(s, st.center, st.sigma)
+		w := buf.gaussianWeights(st.sigma, biasReach(st.n, st.center))
+		cached := biasedScoresInto(make([]float64, st.n), s, st.center, w)
+		fresh := BiasedScoresAt(s, st.center, st.sigma)
+		for i := range want {
+			if math.Float64bits(cached[i]) != math.Float64bits(want[i]) ||
+				math.Float64bits(fresh[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%+v: biased[%d] cached %v fresh %v, want %v", st, i, cached[i], fresh[i], want[i])
+			}
+		}
+	}
+}
