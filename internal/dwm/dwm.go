@@ -148,6 +148,9 @@ type Synchronizer struct {
 	sp   SampleParams
 	est  *tde.Estimator
 	bias bool
+	// search is ref prepared for est's searches; at FFT-branch shapes it
+	// shares ref's cached block spectra (see tde.Reference).
+	search *tde.Reference
 
 	i      int
 	hDisp  []int
@@ -155,10 +158,6 @@ type Synchronizer struct {
 	scores []float64
 	// hLowPrev is h_disp,low[i-1]; the paper defines h_disp,low[-1] = 0.
 	hLowPrev int
-	// searchView is the reusable search-window view over ref; Propose
-	// reslices it instead of allocating a Signal per step. Single-owner
-	// session scratch (a Synchronizer is not safe for concurrent use).
-	searchView sigproc.Signal
 }
 
 // Option configures a Synchronizer.
@@ -198,6 +197,9 @@ func NewSynchronizer(ref *sigproc.Signal, p Params, opts ...Option) (*Synchroniz
 	for _, o := range opts {
 		o(s)
 	}
+	// The widest search region: the window plus both extensions, clipped
+	// to the reference.
+	s.search = s.est.Prepare(ref, s.sp.NWin+2*s.sp.NExt, s.sp.NWin)
 	return s, nil
 }
 
@@ -274,7 +276,6 @@ func (s *Synchronizer) Propose(window *sigproc.Signal) (Proposal, error) {
 	}
 	searchWidth.Observe(float64(hi - lo))
 
-	search := s.ref.SliceInto(&s.searchView, lo, hi)
 	var (
 		j     int
 		score float64
@@ -283,9 +284,9 @@ func (s *Synchronizer) Propose(window *sigproc.Signal) (Proposal, error) {
 	if s.bias {
 		// Bias center = similarity-array index of the predicted position.
 		biasCenter := center - lo
-		j, score, err = s.est.DelayBiasedAt(search, window, biasCenter, s.sp.NSigma)
+		j, score, err = s.est.DelayBiasedIn(s.search, lo, hi, window, biasCenter, s.sp.NSigma)
 	} else {
-		j, score, err = s.est.Delay(search, window)
+		j, score, err = s.est.DelayIn(s.search, lo, hi, window)
 	}
 	if err != nil {
 		return Proposal{}, fmt.Errorf("dwm: window %d: %w", s.i, err)

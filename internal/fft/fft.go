@@ -12,6 +12,7 @@ package fft
 
 import (
 	"math"
+	"math/bits"
 	"math/cmplx"
 	"sync"
 	"sync/atomic"
@@ -101,6 +102,14 @@ func transform(x []complex128, inverse bool) {
 
 // radix2 is the iterative in-place Cooley-Tukey FFT for power-of-two sizes.
 // Its twiddles come from the cached per-direction table (see twiddles).
+//
+// The butterfly stages run two at a time, so the array is swept about
+// half as often: stages h and 2h touch exactly the four elements
+// x[i+j], x[i+h+j], x[i+2h+j], x[i+3h+j] for each j < h of a 4h-block,
+// so each group of four is loaded once, carried through both stages in
+// registers, and stored once. Every butterfly keeps its operands, its
+// twiddle and its operation order, so the output is bit-identical to one
+// stage per sweep. With an odd stage count the first stage runs alone.
 func radix2(x []complex128, inverse bool) {
 	n := len(x)
 	// Bit-reversal permutation.
@@ -115,15 +124,38 @@ func radix2(x []complex128, inverse bool) {
 		}
 	}
 	tw := twiddles(n, inverse)
-	for half := 1; half < n; half <<= 1 {
-		w := tw[half-1 : 2*half-1]
-		for i := 0; i < n; i += 2 * half {
-			lo, hi := x[i:i+half], x[i+half:i+2*half]
-			for j, wj := range w {
-				u := lo[j]
-				v := hi[j] * wj
-				lo[j] = u + v
-				hi[j] = u - v
+	half := 1
+	if bits.TrailingZeros(uint(n))%2 == 1 {
+		w := tw[:1]
+		for i := 0; i < n; i += 2 {
+			u := x[i]
+			v := x[i+1] * w[0]
+			x[i] = u + v
+			x[i+1] = u - v
+		}
+		half = 2
+	}
+	for ; half < n; half <<= 2 {
+		w1 := tw[half-1 : 2*half-1]   // stage h
+		w2 := tw[2*half-1 : 4*half-1] // stage 2h
+		w2lo, w2hi := w2[:len(w1)], w2[len(w1):][:len(w1)]
+		for i := 0; i < n; i += 4 * half {
+			q0 := x[i : i+half]
+			q1 := x[i+half : i+2*half]
+			q2 := x[i+2*half : i+3*half]
+			q3 := x[i+3*half : i+4*half]
+			q0, q1, q2, q3 = q0[:len(w1)], q1[:len(w1)], q2[:len(w1)], q3[:len(w1)]
+			for j, wj := range w1 {
+				// Stage h: butterflies (q0, q1) and (q2, q3).
+				a, b := q0[j], q1[j]*wj
+				a, b = a+b, a-b
+				c, d := q2[j], q3[j]*wj
+				c, d = c+d, c-d
+				// Stage 2h: butterflies (q0, q2) and (q1, q3).
+				c *= w2lo[j]
+				d *= w2hi[j]
+				q0[j], q2[j] = a+c, a-c
+				q1[j], q3[j] = b+d, b-d
 			}
 		}
 	}

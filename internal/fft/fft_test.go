@@ -179,6 +179,25 @@ func BenchmarkForward1024(b *testing.B) {
 	}
 }
 
+// BenchmarkRadix2 runs the in-place power-of-two kernel at the sizes the
+// TDE correlation uses at the CI scale (ACC 4096, AUD 65536) and one size
+// up, where the array no longer fits in a typical L2 cache.
+func BenchmarkRadix2(b *testing.B) {
+	for _, n := range []int{4096, 65536, 131072} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			src := randComplex(rand.New(rand.NewSource(16)), n)
+			x := make([]complex128, n)
+			InPlace(x) // warm the twiddle table
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(x, src) // keeps magnitudes from growing to Inf across iterations
+				InPlace(x)
+			}
+		})
+	}
+}
+
 // BenchmarkBluestein runs the STFT's real-input transform at the
 // non-power-of-two frame lengths the CI scale's spectrograms use.
 func BenchmarkBluestein(b *testing.B) {

@@ -250,7 +250,10 @@ func TestClusterHandoffPreservesVerdict(t *testing.T) {
 	}
 
 	// Stream the first 800 of 2000 samples at the owner, then leave the
-	// client attached while the peer drains underneath it.
+	// client attached while the peer drains underneath it. The id is the
+	// clean run's, so wait until that session's worker has removed it: a
+	// Hello arriving before would resume the finished session.
+	waitFor(t, 5*time.Second, func() bool { return fleet[0].srv.SessionCount() == 0 })
 	id := sessionOwnedBy(t, 0, 2)
 	hello := Hello{SessionID: id, Priority: 5, Channels: fx.specs, Model: version, Tenant: "plant-berlin"}
 	c, err := Dial(fleet[0].addr, hello, 5*time.Second)

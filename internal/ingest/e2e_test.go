@@ -481,6 +481,52 @@ func TestServerShutdownDrains(t *testing.T) {
 	waitFor(t, 2*time.Second, func() bool { return runtime.NumGoroutine() <= before+2 })
 }
 
+// TestShutdownFlushesSessionDetachedMidDrain is the regression for a drain
+// racing a detach, in the one interleaving that used to hang: the handler
+// checked for a drain, Shutdown then found the session still attached and
+// only woke the handler, and the handler's torn read detached the session.
+// The detach must hand the session to the drain path instead of arming a
+// retention timer nobody would cancel, which left Shutdown waiting until
+// its context expired.
+func TestShutdownFlushesSessionDetachedMidDrain(t *testing.T) {
+	srv, err := NewServer(Config{Factory: &countFactory{}, ReadTimeout: 10 * time.Second, Retention: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hello := oneChanHello("racy", 1)
+	s, reject := srv.admit(&Frame{Type: FrameHello, SessionID: hello.SessionID, Priority: hello.Priority, Channels: hello.Channels})
+	if reject != "" {
+		t.Fatal(reject)
+	}
+	conn, peer := net.Pipe()
+	defer peer.Close()
+	defer conn.Close()
+	if err := s.attach(conn); err != nil {
+		t.Fatal(err)
+	}
+	// The drain starts and sees the session attached; an expired context
+	// makes Shutdown return right after that look instead of waiting.
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := srv.Shutdown(expired); !errors.Is(err, context.Canceled) {
+		t.Fatalf("shutdown with an expired context: %v", err)
+	}
+	s.detach(srv.cfg.Retention)
+	select {
+	case <-s.done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("session detached mid-drain was never flushed")
+	}
+	if s.terminated() {
+		t.Fatalf("session ended by termination (%s), want drained", s.terminationMessage())
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+}
+
 // TestServerEvictsSilentSession: a client that connects and goes quiet past
 // the read deadline is evicted, and told so.
 func TestServerEvictsSilentSession(t *testing.T) {

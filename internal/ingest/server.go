@@ -194,13 +194,7 @@ func (srv *Server) Shutdown(ctx context.Context) error {
 			s.wake()
 		} else {
 			// No handler: flush directly so the session still completes.
-			sess := s
-			go func() {
-				if err := sess.enqueue(queued{reason: "drained"}, 0); err == nil {
-					<-sess.outcomeCh
-					metDrained.Inc()
-				}
-			}()
+			s.drainDetached()
 		}
 	}
 	done := make(chan struct{})

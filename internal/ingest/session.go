@@ -109,6 +109,9 @@ type session struct {
 	// isDetached tracks the session.detached gauge edge (set on detach,
 	// cleared on attach or removal).
 	isDetached bool
+	// drainOnce guards drainDetached: Shutdown and a handler detaching
+	// mid-drain may both hand the session to the drain path.
+	drainOnce sync.Once
 }
 
 func newSession(srv *Server, hello *Frame, sink Sink, tn *tenant) *session {
@@ -424,9 +427,30 @@ func (s *session) detach(retention time.Duration) {
 			j.Detach(s.id)
 		}
 	}
+	// A drain that found the session attached left it to its handler, which
+	// is leaving now: flush it here, or Shutdown would wait out retention.
+	// Checking under s.mu orders this against Shutdown's look at s.conn.
+	if s.srv.isDraining() {
+		s.drainDetached()
+		return
+	}
 	s.retention = time.AfterFunc(retention, func() {
 		s.terminate("session retention expired")
 		metEvicted.Inc()
+	})
+}
+
+// drainDetached flushes a session no handler owns during a drain and counts
+// it drained once the worker has produced its final verdict. Only the
+// first call acts.
+func (s *session) drainDetached() {
+	s.drainOnce.Do(func() {
+		go func() {
+			if err := s.enqueue(queued{reason: "drained"}, 0); err == nil {
+				<-s.outcomeCh
+				metDrained.Inc()
+			}
+		}()
 	})
 }
 

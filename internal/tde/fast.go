@@ -9,15 +9,21 @@ import (
 	"nsync/internal/sigproc"
 )
 
+// directMax is the largest nx·ny whose sliding cross-terms are evaluated
+// directly; larger problems take the FFT branch.
+const directMax = 64 * 1024
+
 // fastCorrelationInto computes the same values as the naive sliding method
 // with the Pearson correlation similarity, in O(Nx log Nx) instead of
-// O(Nx*Ny) per channel: the cross-terms come from FFT cross-correlations,
-// two channels per transform, and the window statistics from prefix sums.
+// O(Nx*Ny) per channel: the cross-terms come from FFT cross-correlations
+// against x's lane spectra, and the window statistics from prefix sums.
 // This is what makes DWM cheap enough to run on raw 48 kHz-class signals in
-// real time. All working memory — the output, prefix sums, cross-terms, and
-// FFT operands — comes from buf, so the steady-state cost is zero
+// real time. x's spectra come from cached, when it holds any (the block of
+// a prepared Reference that x is a slice of), and are computed into buf
+// otherwise. All working memory — the output, prefix sums, cross-terms,
+// and FFT operands — comes from buf, so the steady-state cost is zero
 // allocations; the returned slice aliases buf.scores.
-func fastCorrelationInto(buf *corrBuf, x, y *sigproc.Signal) []float64 {
+func fastCorrelationInto(buf *corrBuf, x, y *sigproc.Signal, cached laneSpectra) []float64 {
 	nx, ny := x.Len(), y.Len()
 	positions := nx - ny + 1
 	out := scratch.ResizeZero(buf.scores, positions)
@@ -29,28 +35,43 @@ func fastCorrelationInto(buf *corrBuf, x, y *sigproc.Signal) []float64 {
 	// A constant template correlates to 0 at every position, so only the
 	// other lanes need cross-terms. A NaN variance is not skipped:
 	// non-finite input must poison the scores, not vanish from them.
-	live := buf.live[:0]
+	live, stats := buf.live[:0], buf.stats[:0]
 	for c := 0; c < channels; c++ {
-		if _, varY := templateStats(y.Data[c]); varY <= 0 {
+		st := templateStatsOf(y.Data[c])
+		if st.varY <= 0 {
 			continue
 		}
-		live = append(live, c)
+		live, stats = append(live, c), append(stats, st)
 	}
-	buf.live = live
+	buf.live, buf.stats = live, stats
 	dots := scratch.Resize(buf.dots, 2*positions)
 	buf.dots = dots
 	dotsA, dotsB := dots[:positions], dots[positions:]
+	direct := nx*ny <= directMax
+	spec := cached
+	if !direct && spec.bins == nil {
+		spec = buf.spectraOf(x, live)
+	}
 	for k := 0; k < len(live); k += 2 {
 		a := live[k]
 		if k+1 == len(live) {
-			crossDotsInto(buf, x.Data[a], y.Data[a], nil, nil, dotsA, nil)
-			pearsonInto(out, buf, x.Data[a], y.Data[a], dotsA)
+			if direct {
+				directDotsInto(dotsA, x.Data[a], y.Data[a])
+			} else {
+				crossDotsInto(buf, spec, a, -1, y.Data[a], nil, dotsA, nil)
+			}
+			pearsonInto(out, buf, x.Data[a], stats[k], dotsA)
 			break
 		}
 		b := live[k+1]
-		crossDotsInto(buf, x.Data[a], y.Data[a], x.Data[b], y.Data[b], dotsA, dotsB)
-		pearsonInto(out, buf, x.Data[a], y.Data[a], dotsA)
-		pearsonInto(out, buf, x.Data[b], y.Data[b], dotsB)
+		if direct {
+			directDotsInto(dotsA, x.Data[a], y.Data[a])
+			directDotsInto(dotsB, x.Data[b], y.Data[b])
+		} else {
+			crossDotsInto(buf, spec, a, b, y.Data[a], y.Data[b], dotsA, dotsB)
+		}
+		pearsonInto(out, buf, x.Data[a], stats[k], dotsA)
+		pearsonInto(out, buf, x.Data[b], stats[k+1], dotsB)
 	}
 	inv := 1 / float64(channels)
 	for i := range out {
@@ -59,23 +80,28 @@ func fastCorrelationInto(buf *corrBuf, x, y *sigproc.Signal) []float64 {
 	return out
 }
 
-// templateStats returns the sum and the unnormalized variance
-// (Σy² − (Σy)²/n) of a template lane; both are position-independent.
-func templateStats(yc []float64) (sy, varY float64) {
-	var syy float64
+// templateStats are the position-independent statistics of one template
+// lane: its length, sum, and unnormalized variance Σy² − (Σy)²/n.
+type templateStats struct {
+	n        int
+	sy, varY float64
+}
+
+func templateStatsOf(yc []float64) templateStats {
+	var sy, syy float64
 	for _, v := range yc {
 		sy += v
 		syy += v * v
 	}
-	return sy, syy - sy*sy/float64(len(yc))
+	return templateStats{n: len(yc), sy: sy, varY: syy - sy*sy/float64(len(yc))}
 }
 
 // pearsonInto adds one lane's Pearson correlation at every position to out,
-// given the lane's sliding cross-terms dots[p] = Σ_i x[p+i]·y[i].
-func pearsonInto(out []float64, buf *corrBuf, xc, yc, dots []float64) {
-	nx, ny := len(xc), len(yc)
-	sy, varY := templateStats(yc)
-	n := float64(ny)
+// given the lane's template statistics and its sliding cross-terms
+// dots[p] = Σ_i x[p+i]·y[i].
+func pearsonInto(out []float64, buf *corrBuf, xc []float64, st templateStats, dots []float64) {
+	nx, ny := len(xc), st.n
+	n, sy, varY := float64(ny), st.sy, st.varY
 	// Prefix sums of x and x^2.
 	prefix := scratch.Resize(buf.prefix, nx+1)
 	prefix2 := scratch.Resize(buf.prefix2, nx+1)
@@ -104,60 +130,112 @@ func pearsonInto(out []float64, buf *corrBuf, xc, yc, dots []float64) {
 	}
 }
 
-// crossDotsInto writes da[p] = Σ_i xa[p+i]·ya[i] for p = 0..len(xa)-len(ya),
-// and the same for lane b into db unless xb is nil. Small problems are
-// evaluated directly. Larger ones take one packed FFT correlation for both
-// lanes: lane a rides in the real part and lane b in the imaginary part of
-// each operand, the two spectra are separated by conjugate symmetry, and a
-// single inverse transform of Xa·conj(Ya) + i·Xb·conj(Yb) returns lane a's
-// cross-terms as its real part and lane b's as its imaginary part.
+// laneSpectra holds, per lane c, the doubled half-spectrum 2·X_c[k],
+// k = 0..m/2, of a block of x zero-padded to m points; the search region
+// starts off samples into the block. The other half of each spectrum
+// follows from conjugate symmetry (x is real). A nil bins means no
+// spectra are at hand.
+type laneSpectra struct {
+	bins []complex128 // lane c at [c·(m/2+1), (c+1)·(m/2+1))
+	m    int
+	off  int
+}
+
+func (s laneSpectra) lane(c int) []complex128 {
+	h := s.m/2 + 1
+	return s.bins[c*h : (c+1)*h]
+}
+
+// spectraOf computes the spectra of x's listed lanes into buf, with the
+// transform just long enough for x: m = NextPow2(nx).
+func (buf *corrBuf) spectraOf(x *sigproc.Signal, lanes []int) laneSpectra {
+	m := fft.NextPow2(x.Len())
+	bins := scratch.Resize(buf.fx, x.Channels()*(m/2+1))
+	z := scratch.Resize(buf.fy, m)
+	buf.fx, buf.fy = bins, z
+	s := laneSpectra{bins: bins, m: m}
+	halfSpectraInto(s, z, x.Data, lanes)
+	return s
+}
+
+// halfSpectraInto fills dst's slot for each listed lane of data (every
+// lane at most dst.m samples, zero-padded to dst.m) using z, of length
+// dst.m, as the transform buffer. Lanes go two per transform: lane a rides
+// in the real part and lane b in the imaginary part, and the spectra are
+// separated by conjugate symmetry, 2·A[k] = Z[k] + conj Z[m−k] and
+// 2·B[k] = −i·(Z[k] − conj Z[m−k]). An odd lane out rides alone.
+func halfSpectraInto(dst laneSpectra, z []complex128, data [][]float64, lanes []int) {
+	m := dst.m
+	for k := 0; k < len(lanes); k += 2 {
+		a := lanes[k]
+		var xb []float64
+		var sb []complex128
+		if k+1 < len(lanes) {
+			xb, sb = data[lanes[k+1]], dst.lane(lanes[k+1])
+		}
+		packInto(z, data[a], xb)
+		fft.InPlace(z)
+		sa := dst.lane(a)
+		for i := range sa {
+			zk, zj := z[i], cmplx.Conj(z[(m-i)&(m-1)])
+			sa[i] = zk + zj
+			if sb != nil {
+				d := zk - zj
+				sb[i] = complex(imag(d), -real(d)) // −i·d, exact
+			}
+		}
+	}
+}
+
+// crossDotsInto writes da[p] = Σ_i xa[p+i]·ya[i] for every position of da,
+// and the same for lane b into db unless b < 0, from x's lane spectra: one
+// forward transform of the packed template pair ya + i·yb and one inverse
+// transform per lane pair.
+//
+// For the packed template, 2·Ya[k] = Z[k] + conj Z[m−k] = sy and
+// 2i·Yb[k] = Z[k] − conj Z[m−k] = dy. With A = 2·Xa and B = 2·Xb from the
+// spectra, pa = A·conj(sy) = 4·Xa·conj(Ya) and q = B·conj(dy) =
+// −4i·Xb·conj(Yb), so the packed cross-spectrum C = Xa·conj(Ya) +
+// i·Xb·conj(Yb) has 4·C[k] = pa − q and 4·C[m−k] = conj(pa + q). Its
+// inverse transform holds lane a's correlation in the real part and lane
+// b's in the imaginary part; it runs as a forward transform of conj(4·C),
+// with the conjugation and the 1/(4m) scale folded into the read-out.
 //
 // Correlating against conj(Y), with y zero-padded but not reversed, gives
-// the circular correlation r[p] = Σ_i x[(p+i) mod m]·y[i]. For every valid
-// position p+i <= nx-1 < m, so no term wraps and the FFT length only needs
-// to cover x: m = NextPow2(nx), about half what a linear convolution with
-// y reversed would need.
-func crossDotsInto(buf *corrBuf, xa, ya, xb, yb, da, db []float64) {
-	nx, ny := len(xa), len(ya)
-	if nx*ny <= 64*1024 {
-		directDotsInto(da, xa, ya)
-		if xb != nil {
-			directDotsInto(db, xb, yb)
-		}
-		return
+// the circular correlation r[j] = Σ_i blk[(j+i) mod m]·y[i]. The search
+// region starts off samples into the block, so position p reads
+// r[off+p], and off+p+i <= off+nx−1 < m for every valid term: nothing
+// wraps.
+func crossDotsInto(buf *corrBuf, spec laneSpectra, a, b int, ya, yb, da, db []float64) {
+	m := spec.m
+	z := packInto(scratch.Resize(buf.fz, m), ya, yb)
+	buf.fz = z
+	fft.InPlace(z)
+	sa := spec.lane(a)
+	var sb []complex128
+	if b >= 0 {
+		sb = spec.lane(b)
 	}
-	m := fft.NextPow2(nx)
-	fx := packInto(scratch.Resize(buf.fx, m), xa, xb)
-	fy := packInto(scratch.Resize(buf.fy, m), ya, yb)
-	buf.fx, buf.fy = fx, fy
-	fft.InPlace(fx)
-	fft.InPlace(fy)
-	// For a packed real pair z = u + i·v, U[k] = (Z[k] + conj Z[m-k])/2 and
-	// V[k] = (Z[k] - conj Z[m-k])/2i. With s = Z[k] + conj Z[m-k] and
-	// d = Z[k] - conj Z[m-k] for each operand, Xa·conj(Ya) = sx·conj(sy)/4
-	// and Xb·conj(Yb) = dx·conj(dy)/4. Bins k and m-k read each other, so
-	// they are written together; both hold the conjugate of the packed
-	// cross-spectrum C, whose inverse transform is then conj(FFT(conj C))/m
-	// — a forward transform, with the conjugation and the 1/(4m) scale
-	// folded into the read-out below.
-	for k := 0; k <= m/2; k++ {
+	for k, ak := range sa {
 		j := (m - k) & (m - 1)
-		xk, xj := fx[k], cmplx.Conj(fx[j])
-		yk, yj := fy[k], cmplx.Conj(fy[j])
-		pa := (xk + xj) * cmplx.Conj(yk+yj)
-		pb := (xk - xj) * cmplx.Conj(yk-yj)
-		ra, ia, rb, ib := real(pa), imag(pa), real(pb), imag(pb)
-		fx[k] = complex(ra-ib, -ia-rb) // conj(pa + i·pb)
-		fx[j] = complex(ra+ib, ia-rb)  // conj(conj(pa) + i·conj(pb))
+		yk, yj := z[k], cmplx.Conj(z[j])
+		pa := ak * cmplx.Conj(yk+yj)
+		var q complex128
+		if sb != nil {
+			q = sb[k] * cmplx.Conj(yk-yj)
+		}
+		z[k] = cmplx.Conj(pa - q)
+		z[j] = pa + q
 	}
-	fft.InPlace(fx)
+	fft.InPlace(z)
 	scale := 0.25 / float64(m)
+	r := z[spec.off : spec.off+len(da)]
 	for p := range da {
-		da[p] = scale * real(fx[p])
+		da[p] = scale * real(r[p])
 	}
-	if xb != nil {
+	if sb != nil {
 		for p := range db {
-			db[p] = -scale * imag(fx[p])
+			db[p] = -scale * imag(r[p])
 		}
 	}
 }

@@ -31,8 +31,9 @@ func randomPair(rng *rand.Rand, channels, nx, ny int) (*sigproc.Signal, *sigproc
 // on and poison on (so the second run consumes poisoned recycled buffers —
 // any read of recycled contents becomes NaN-loud), then once with pooling
 // disabled, and all outputs must match exactly. Covers the similarity
-// array, plain and biased delays, and GCC-PHAT, over shapes that exercise
-// both the direct and the FFT cross-correlation branches.
+// array, plain and biased delays (on a plain x and through a prepared
+// Reference), and GCC-PHAT, over shapes that exercise both the direct and
+// the FFT cross-correlation branches.
 func TestPooledEquivalence(t *testing.T) {
 	scratch.SetPoison(true)
 	defer scratch.SetPoison(false)
@@ -50,10 +51,10 @@ func TestPooledEquivalence(t *testing.T) {
 		x, y := randomPair(rng, sh.channels, sh.nx, sh.ny)
 
 		type outcome struct {
-			sim        []float64
-			gcc        []float64
-			d, db, dba int
-			s, sb, sba float64
+			sim             []float64
+			gcc             []float64
+			d, db, dba, dbi int
+			s, sb, sba, sbi float64
 		}
 		compute := func() outcome {
 			var o outcome
@@ -75,6 +76,11 @@ func TestPooledEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			o.dba, o.sba, err = est.DelayBiasedAt(x, y, 10, 25)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// At the FFT-branch shape this reads cached block spectra.
+			o.dbi, o.sbi, err = est.DelayBiasedIn(est.Prepare(x, sh.nx, sh.ny), 0, sh.nx, y, 10, 25)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,6 +106,9 @@ func TestPooledEquivalence(t *testing.T) {
 		}
 		if pooled.dba != fresh.dba || pooled.sba != fresh.sba {
 			t.Errorf("shape %+v: DelayBiasedAt pooled (%d, %v) != fresh (%d, %v)", sh, pooled.dba, pooled.sba, fresh.dba, fresh.sba)
+		}
+		if pooled.dbi != fresh.dbi || pooled.sbi != fresh.sbi {
+			t.Errorf("shape %+v: DelayBiasedIn pooled (%d, %v) != fresh (%d, %v)", sh, pooled.dbi, pooled.sbi, fresh.dbi, fresh.sbi)
 		}
 		mustEqual(t, "SimilarityArray", pooled.sim, fresh.sim)
 		mustEqual(t, "GCCPHATArray", pooled.gcc, fresh.gcc)

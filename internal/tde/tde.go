@@ -34,12 +34,16 @@ type corrBuf struct {
 	prefix2 []float64 // prefix sums of x^2
 	dots    []float64 // sliding cross-terms of a lane pair
 	live    []int     // lanes whose template is not constant
-	// fx/fy are FFT operands; fz is the whitened cross-spectrum of the
-	// GCC-PHAT path.
+	stats   []templateStats
+	// fx/fy/fz are FFT operands: x's lane spectra, x's transform buffer and
+	// the template's on the fast path; both operands and the whitened
+	// cross-spectrum on the GCC-PHAT path.
 	fx, fy, fz []complex128
 
-	// winData backs the sliding window view of the naive (non-fast) path.
+	// winData backs the sliding window view of the naive (non-fast) path;
+	// region is the view of a prepared Reference's search region.
 	winData [][]float64
+	region  sigproc.Signal
 
 	// weights caches the TDEB Gaussian by distance from the bias center for
 	// weightSigma (see gaussianWeights). Unlike the buffers above it is a
@@ -59,10 +63,14 @@ var corrPool = scratch.Pool[corrBuf]{
 		for i := range cb.live {
 			cb.live[i] = math.MinInt
 		}
-		nan := complex(math.NaN(), math.NaN())
+		nan := math.NaN()
+		for i := range cb.stats {
+			cb.stats[i] = templateStats{n: math.MinInt, sy: nan, varY: nan}
+		}
+		cnan := complex(nan, nan)
 		for _, s := range [][]complex128{cb.fx, cb.fy, cb.fz} {
 			for i := range s {
-				s[i] = nan
+				s[i] = cnan
 			}
 		}
 	},
@@ -130,7 +138,7 @@ func New(opts ...Option) *Estimator {
 func (e *Estimator) SimilarityArray(x, y *sigproc.Signal) ([]float64, error) {
 	buf := corrPool.Get()
 	defer corrPool.Put(buf)
-	s, err := e.similarityInto(buf, x, y)
+	s, err := e.similarityInto(buf, x, y, laneSpectra{})
 	if err != nil {
 		return nil, err
 	}
@@ -138,8 +146,10 @@ func (e *Estimator) SimilarityArray(x, y *sigproc.Signal) ([]float64, error) {
 }
 
 // similarityInto computes the similarity array into buf.scores and returns
-// it. The result aliases buf and is valid only until buf is pooled again.
-func (e *Estimator) similarityInto(buf *corrBuf, x, y *sigproc.Signal) ([]float64, error) {
+// it. cached, when it holds spectra, is x's block on the fast path (see
+// Reference). The result aliases buf and is valid only until buf is pooled
+// again.
+func (e *Estimator) similarityInto(buf *corrBuf, x, y *sigproc.Signal, cached laneSpectra) ([]float64, error) {
 	nx, ny := x.Len(), y.Len()
 	if nx < ny {
 		return nil, fmt.Errorf("%w: len(x)=%d len(y)=%d", ErrTooShort, nx, ny)
@@ -149,7 +159,7 @@ func (e *Estimator) similarityInto(buf *corrBuf, x, y *sigproc.Signal) ([]float6
 	}
 	estimates.Inc()
 	if e.fastCorr {
-		return fastCorrelationInto(buf, x, y), nil
+		return fastCorrelationInto(buf, x, y, cached), nil
 	}
 	scores := scratch.Resize(buf.scores, nx-ny+1)
 	buf.scores = scores
@@ -184,7 +194,19 @@ func (e *Estimator) similarityInto(buf *corrBuf, x, y *sigproc.Signal) ([]float6
 func (e *Estimator) Delay(x, y *sigproc.Signal) (delay int, score float64, err error) {
 	buf := corrPool.Get()
 	defer corrPool.Put(buf)
-	s, err := e.similarityInto(buf, x, y)
+	s, err := e.similarityInto(buf, x, y, laneSpectra{})
+	if err != nil {
+		return 0, 0, err
+	}
+	d := argmax(s)
+	return d, s[d], nil
+}
+
+// DelayIn is Delay with x the region [lo, hi) of a prepared reference.
+func (e *Estimator) DelayIn(r *Reference, lo, hi int, y *sigproc.Signal) (delay int, score float64, err error) {
+	buf := corrPool.Get()
+	defer corrPool.Put(buf)
+	s, err := e.similarityIn(buf, r, lo, hi, y)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -210,14 +232,33 @@ func (e *Estimator) DelayBiased(x, y *sigproc.Signal, sigma float64) (delay int,
 func (e *Estimator) DelayBiasedAt(x, y *sigproc.Signal, center int, sigma float64) (delay int, score float64, err error) {
 	buf := corrPool.Get()
 	defer corrPool.Put(buf)
-	s, err := e.similarityInto(buf, x, y)
+	s, err := e.similarityInto(buf, x, y, laneSpectra{})
 	if err != nil {
 		return 0, 0, err
 	}
+	d := buf.biasedArgmax(s, center, sigma)
+	return d, s[d], nil
+}
+
+// DelayBiasedIn is DelayBiasedAt with x the region [lo, hi) of a prepared
+// reference; center indexes the region's similarity array.
+func (e *Estimator) DelayBiasedIn(r *Reference, lo, hi int, y *sigproc.Signal, center int, sigma float64) (delay int, score float64, err error) {
+	buf := corrPool.Get()
+	defer corrPool.Put(buf)
+	s, err := e.similarityIn(buf, r, lo, hi, y)
+	if err != nil {
+		return 0, 0, err
+	}
+	d := buf.biasedArgmax(s, center, sigma)
+	return d, s[d], nil
+}
+
+// biasedArgmax returns the argmax of s under the TDEB bias centered at
+// center with standard deviation sigma.
+func (buf *corrBuf) biasedArgmax(s []float64, center int, sigma float64) int {
 	w := buf.gaussianWeights(sigma, biasReach(len(s), center))
 	buf.biased = biasedScoresInto(scratch.Resize(buf.biased, len(s)), s, center, w)
-	d := argmax(buf.biased)
-	return d, s[d], nil
+	return argmax(buf.biased)
 }
 
 // BiasedScores applies the TDEB Gaussian bias, centered on the middle of the
