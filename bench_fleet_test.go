@@ -1,13 +1,13 @@
 package nsync
 
-// BenchmarkFleetLoad measures the sharded ingest daemon as a fleet would
-// load it: a Router spread over several in-process shards serving one
-// SharedPool model, with a wave of concurrent replay clients per benchmark
-// op streaming mixed benign and attack prints. The reported metrics are the
-// operator-facing fleet numbers — completed sessions per core-second, p99
-// verdict latency, and the shed rate — plus a wrong_verdicts count that
-// benchcheck asserts stays zero: a fleet throughput number earned by
-// misclassifying lanes is not a throughput number.
+// BenchmarkFleetLoad measures the ingest daemon as a fleet would load it:
+// one Server serving one SharedPool model, with a wave of concurrent replay
+// clients per benchmark op streaming mixed benign and attack prints. The
+// reported metrics are the operator-facing fleet numbers — completed
+// sessions per core-second, p99 verdict latency, and the shed rate — plus a
+// wrong_verdicts count that must stay zero or the benchmark fails: a fleet
+// throughput number earned by misclassifying lanes is not a throughput
+// number.
 
 import (
 	"context"
@@ -32,8 +32,6 @@ import (
 const (
 	// fleetWave is how many concurrent sessions one benchmark op replays.
 	fleetWave = 32
-	// fleetShards is the router's shard count.
-	fleetShards = 4
 	// fleetAttackEvery sends every Nth session down the attack lane.
 	fleetAttackEvery = 4
 )
@@ -156,7 +154,7 @@ type fleetBenchResult struct {
 }
 
 // BenchmarkFleetLoad replays fleetWave concurrent mixed sessions per op
-// against a fleetShards-way Router serving a SharedPool model, and reports
+// against one Server serving a SharedPool model, and reports
 // sessions_per_core_sec, p99_verdict_ms, shed_rate, and wrong_verdicts.
 func BenchmarkFleetLoad(b *testing.B) {
 	fx := fleetFixture(b)
@@ -164,7 +162,7 @@ func BenchmarkFleetLoad(b *testing.B) {
 	if _, err := pool.Register(fx.model); err != nil {
 		b.Fatal(err)
 	}
-	router, err := ingest.NewRouter(fleetShards, ingest.Config{
+	srv, err := ingest.NewServer(ingest.Config{
 		Factory:       pool,
 		ShedWatermark: 1 << 20, // shedding is not what this benchmark measures
 		ReadTimeout:   30 * time.Second,
@@ -176,11 +174,11 @@ func BenchmarkFleetLoad(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	go router.Serve(l) //nolint:errcheck // exits on Shutdown
+	go srv.Serve(l) //nolint:errcheck // exits on Shutdown
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		if err := router.Shutdown(ctx); err != nil {
+		if err := srv.Shutdown(ctx); err != nil {
 			b.Error(err)
 		}
 	}()
@@ -252,13 +250,20 @@ func BenchmarkFleetLoad(b *testing.B) {
 		sort.Slice(latencies, func(a, c int) bool { return latencies[a] < latencies[c] })
 		p99 = latencies[len(latencies)*99/100]
 	}
-	cores := float64(runtime.GOMAXPROCS(0))
-	elapsed := b.Elapsed().Seconds()
-	if elapsed > 0 {
-		b.ReportMetric(float64(ok+wrong)/elapsed/cores, "sessions_per_core_sec")
+	perCoreSec := 0.0
+	if elapsed := b.Elapsed().Seconds(); elapsed > 0 {
+		perCoreSec = float64(ok+wrong) / elapsed / float64(runtime.GOMAXPROCS(0))
 	}
+	p99ms := float64(p99.Microseconds()) / 1000
+	shedRate := float64(shed) / float64(total)
+	b.ReportMetric(perCoreSec, "sessions_per_core_sec")
 	b.ReportMetric(float64(total), "sessions")
-	b.ReportMetric(float64(p99.Microseconds())/1000, "p99_verdict_ms")
-	b.ReportMetric(float64(shed)/float64(total), "shed_rate")
+	b.ReportMetric(p99ms, "p99_verdict_ms")
+	b.ReportMetric(shedRate, "shed_rate")
 	b.ReportMetric(float64(wrong), "wrong_verdicts")
+	if total <= 0 || perCoreSec <= 0 || p99ms <= 0 || shedRate < 0 || shedRate > 1 || wrong != 0 {
+		b.Fatalf("sessions=%d sessions_per_core_sec=%g p99_verdict_ms=%g shed_rate=%g wrong_verdicts=%d: "+
+			"want sessions, throughput and p99 measured (> 0), shed_rate in [0,1], and no wrong-lane verdicts",
+			total, perCoreSec, p99ms, shedRate, wrong)
+	}
 }

@@ -6,9 +6,9 @@ package nsync
 // every session it migrates reconnects to the successor and resumes. The
 // reported p99_pause_ms is the longest client-observed stream stall across
 // the handoff (dial start to handshake complete on the new peer), and
-// wrong_verdicts — which benchcheck pins at zero — asserts that migration
-// never changes a verdict: a fast drain that flips lanes is a correctness
-// bug wearing a latency number.
+// wrong_verdicts — which must stay zero or the benchmark fails — asserts
+// that migration never changes a verdict: a fast drain that flips lanes is
+// a correctness bug wearing a latency number.
 
 import (
 	"context"
@@ -160,7 +160,7 @@ func runHandoffWave(b *testing.B, fx *fleetBenchFixture, iter int) handoffWaveRe
 
 // BenchmarkFleetHandoffLatency reports migrated_sessions, failed_handoffs,
 // p99_pause_ms across the clients that reconnected through the drain, and a
-// wrong_verdicts count benchcheck pins at zero.
+// wrong_verdicts count that must be zero.
 func BenchmarkFleetHandoffLatency(b *testing.B) {
 	fx := fleetFixture(b)
 	var migrated, failed, wrong, errs, total int
@@ -196,4 +196,7 @@ func BenchmarkFleetHandoffLatency(b *testing.B) {
 	b.ReportMetric(float64(failed)/n, "failed_handoffs")
 	b.ReportMetric(float64(p99.Microseconds())/1000, "p99_pause_ms")
 	b.ReportMetric(float64(wrong), "wrong_verdicts")
+	if failed < 0 || wrong != 0 {
+		b.Fatalf("failed_handoffs=%d wrong_verdicts=%d: want a count (>= 0) and no verdict changed by migration", failed, wrong)
+	}
 }

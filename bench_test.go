@@ -459,18 +459,24 @@ func BenchmarkAblationChannelAvg(b *testing.B) {
 
 // ---- Continuous operations (experiment/drift.go) ----
 
-// benchDriftSweep runs the sensor-drift decay sweep on UM3 ACC: a frozen
-// detector, the rolling re-baselined detector, and a freshly retrained
-// floor, classified across a drifting print sequence. The reported metrics
-// are the final-print false-positive rates — the decay the frozen detector
-// suffers and the recovery re-baselining buys back (benchcheck asserts the
-// recovery, so a silent guardrail or blending regression fails CI).
+// driftRecoveryTolerance is how far above the fresh-retrain FPR floor the
+// re-baselined detector may end the drift sweep (matches TestDriftRecovery).
+const driftRecoveryTolerance = 0.25
+
+// BenchmarkDriftSweepACC regenerates the sensor-drift decay table (repro
+// -drift) for UM3 ACC: a frozen detector, the rolling re-baselined
+// detector, and a freshly retrained floor, classified across a drifting
+// print sequence. The reported metrics are the final-print false-positive
+// rates — the decay the frozen detector suffers and the recovery
+// re-baselining buys back. The benchmark fails unless the re-baselined FPR
+// ends within driftRecoveryTolerance of the fresh floor, so a silent
+// guardrail or blending regression fails CI.
 //
 // Prints is pinned at 5: the combined aging scenario decays the frozen
 // detector visibly by then while the re-baselined one still tracks the
 // fresh floor; past that, even retraining cannot fully absorb the drift at
 // CI scale, and the recovery margin stops being a meaningful assertion.
-func benchDriftSweep(b *testing.B) {
+func BenchmarkDriftSweepACC(b *testing.B) {
 	ds := benchDatasets(b)["UM3"]
 	const prints = 5
 	var last experiment.DriftRow
@@ -482,15 +488,16 @@ func benchDriftSweep(b *testing.B) {
 		}
 		last = rows[len(rows)-1]
 	}
+	rebased := last.Rebased.FPR()
 	b.ReportMetric(float64(prints), "prints")
 	b.ReportMetric(last.Frozen.FPR(), "frozen_final_fpr")
-	b.ReportMetric(last.Rebased.FPR(), "rebased_final_fpr")
+	b.ReportMetric(rebased, "rebased_final_fpr")
 	b.ReportMetric(last.FreshFPR, "fresh_final_fpr")
+	if rebased > last.FreshFPR+driftRecoveryTolerance {
+		b.Fatalf("rebased final FPR %.2f exceeds fresh floor %.2f by more than %.2f — re-baselining is not recovering drift",
+			rebased, last.FreshFPR, driftRecoveryTolerance)
+	}
 }
-
-// BenchmarkDriftSweepACC regenerates the sensor-drift decay table (repro
-// -drift) for UM3 and reports the final-print FPR of each detector variant.
-func BenchmarkDriftSweepACC(b *testing.B) { benchDriftSweep(b) }
 
 // ---- Parallel evaluation engine (experiment/engine.go) ----
 
@@ -501,12 +508,12 @@ func BenchmarkDriftSweepACC(b *testing.B) { benchDriftSweep(b) }
 // time ratio is the engine's speedup. The results themselves are identical
 // at every worker count (TestWorkerCountDeterminism).
 //
-// workers must be explicit (>= 1). The old harness benchmarked the parallel
-// variant with workers = 0 ("resolve to GOMAXPROCS"), which on a single-core
-// CI runner silently resolved to 1: the "parallel" row both ran serially
-// and recorded workers: 1 into BENCH_nsync.json, so the scaling curve was
-// never actually measured. Requesting concrete counts keeps the recorded
-// workers value honest even when the machine has fewer cores (the rows then
+// workers must be explicit (>= 1). An earlier harness benchmarked the
+// parallel variant with workers = 0 ("resolve to GOMAXPROCS"), which on a
+// single-core CI runner silently resolved to 1: the "parallel" row both ran
+// serially and recorded workers: 1, so the scaling curve was never
+// actually measured. Requesting concrete counts keeps the recorded workers
+// value honest even when the machine has fewer cores (the rows then
 // measure oversubscription rather than silently collapsing into duplicates
 // of the serial row).
 func benchEvaluateNSYNC(b *testing.B, workers int) {
@@ -532,14 +539,18 @@ func benchEvaluateNSYNC(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
 		acc = eval().Overall.Accuracy()
 	}
+	windows := evalWindows(b, ds)
 	b.ReportMetric(acc, "acc")
 	b.ReportMetric(float64(workers), "workers")
-	b.ReportMetric(float64(evalWindows(b, ds)), "windows_per_op")
+	b.ReportMetric(float64(windows), "windows_per_op")
+	if windows <= 0 {
+		b.Fatalf("windows_per_op=%d: the evaluation synchronized nothing, so its throughput is not measured", windows)
+	}
 }
 
 // evalWindows counts the DWM windows one EvaluateNSYNC op synchronizes:
-// every training and test run of the benchmarked cell, so the JSON harness
-// can derive a windows-per-second throughput per worker count.
+// every training and test run of the benchmarked cell, so windows_per_op
+// over ns/op gives a windows-per-second throughput per worker count.
 func evalWindows(b *testing.B, ds *experiment.Dataset) int {
 	b.Helper()
 	params := experiment.CI().DWM["UM3"]
@@ -575,8 +586,8 @@ func BenchmarkEvaluateNSYNCParallel(b *testing.B) {
 }
 
 // BenchmarkDWMSyncRawAudio measures the raw synchronization throughput that
-// makes real-time NSYNC possible: seconds of 2-channel raw audio
-// synchronized per benchmark op.
+// makes real-time NSYNC possible: seconds of 2-channel raw audio, and DWM
+// windows, synchronized per benchmark op.
 func BenchmarkDWMSyncRawAudio(b *testing.B) {
 	dss := benchDatasets(b)
 	ds := dss["UM3"]
@@ -589,11 +600,20 @@ func BenchmarkDWMSyncRawAudio(b *testing.B) {
 		b.Fatal(err)
 	}
 	params := experiment.CI().DWM["UM3"]
+	s, err := dwm.NewSynchronizer(ref, params)
+	if err != nil {
+		b.Fatal(err)
+	}
+	windows := s.NumWindows(obs.Len())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := dwm.Run(obs, ref, params); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(windows), "windows_per_op")
 	b.ReportMetric(obs.Duration(), "signal_s_per_op")
+	if windows <= 0 {
+		b.Fatalf("windows_per_op=%d: DWM synchronized nothing, so its throughput is not measured", windows)
+	}
 }

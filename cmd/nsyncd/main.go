@@ -62,8 +62,7 @@ func run() error {
 		eta         = flag.Float64("eta", 0.1, "DWM eta")
 		occMargin   = flag.Float64("r", 0.3, "OCC margin r")
 		queueDepth  = flag.Int("queue", 64, "per-session frame queue depth")
-		watermark   = flag.Int("shed-watermark", 256, "aggregate queued frames before load shedding (divided across shards)")
-		shards      = flag.Int("shards", 1, "in-process listener shards; sessions are consistent-hashed across them")
+		watermark   = flag.Int("shed-watermark", 256, "aggregate queued frames before load shedding")
 		tenantSess  = flag.Int("tenant-sessions", 0, "per-tenant concurrent session quota (0 = unlimited)")
 		tenantQueue = flag.Int("tenant-frames", 0, "per-tenant aggregate queued-frame quota (0 = unlimited)")
 		peersArg    = flag.String("peers", "", "comma-separated addresses of every fleet peer, identical on all of them; enables multi-process clustering (empty: standalone)")
@@ -160,8 +159,9 @@ func run() error {
 	}
 	log.Printf("boot model %s registered (default)", bootVersion)
 
-	// All sessions go through the swap layer so a promoted candidate model
-	// can replace the serving pool under load without dropping sessions.
+	// All sessions go through the swap layer so a candidate model can shadow,
+	// then serve as canary on, live sessions; promotion itself flips the
+	// pool's default version.
 	swap := ingest.NewSwapFactory(pool)
 	var factory ingest.SinkFactory = swap
 	if *rebaseAlpha > 0 {
@@ -225,7 +225,7 @@ func run() error {
 		log.Printf("cluster peer %d of %d (%s)", *peerID, len(peers), peers[*peerID])
 	}
 
-	cfg := ingest.Config{
+	srv, err := ingest.NewServer(ingest.Config{
 		Factory:             factory,
 		QueueDepth:          *queueDepth,
 		ShedWatermark:       *watermark,
@@ -237,41 +237,16 @@ func run() error {
 		SnapshotEveryFrames: *snapEvery,
 		Cluster:             cluster,
 		Logf:                log.Printf,
+	})
+	if err != nil {
+		return err
 	}
-	var srv interface {
-		Serve(net.Listener) error
-		Shutdown(context.Context) error
-		SessionCount() int
-	}
-	if *shards > 1 {
-		router, err := ingest.NewRouter(*shards, cfg)
-		if err != nil {
-			return err
-		}
-		log.Printf("sharded routing: %d shards, per-shard shed watermark %d", *shards, max(1, *watermark / *shards))
-		if journal != nil {
-			n := router.Recover(journaled, pool)
-			log.Printf("journal: recovered %d of %d journaled sessions", n, len(journaled))
-		}
-		if cluster != nil {
-			cluster.Bind(router, pool)
-		}
-		srv = router
-	} else {
-		server, err := ingest.NewServer(cfg)
-		if err != nil {
-			return err
-		}
-		if journal != nil {
-			n := server.Recover(journaled, pool)
-			log.Printf("journal: recovered %d of %d journaled sessions", n, len(journaled))
-		}
-		if cluster != nil {
-			cluster.Bind(server, pool)
-		}
-		srv = server
+	if journal != nil {
+		n := srv.Recover(journaled, pool)
+		log.Printf("journal: recovered %d of %d journaled sessions", n, len(journaled))
 	}
 	if cluster != nil {
+		cluster.Bind(srv, pool)
 		cluster.Start()
 		defer cluster.Close()
 	}

@@ -3,7 +3,7 @@ package main
 // Fleet mode: printsim as a load generator. One process stands in for a
 // whole plant floor — hundreds of concurrent replay clients, each a full
 // ingest session with its own sensor seed, streaming mixed benign and
-// attack prints (some with transport defects) at a sharded nsyncd. The
+// attack prints (some with transport defects) at nsyncd. The
 // summary line is machine-readable and the exit status encodes detection
 // correctness: 0 only if every completed session's verdict matched the lane
 // it was sent on, 2 if any verdict landed in the wrong lane, 1 on transport

@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"net"
 	"sort"
@@ -45,15 +46,15 @@ const maxModelBlob = 64 << 20
 const peerIOTimeout = 30 * time.Second
 
 // OwnerOf maps a session id onto one of n statically configured peers with
-// the same jump consistent hash the Router uses for shards, skipping peers
-// alive reports false: the key rehashes deterministically until it lands on
-// a live peer. Two properties matter for the fleet: a key whose first-hop
-// owner is alive never moves when some other peer dies, and every peer and
-// every cluster-aware client computes the identical owner from the same
-// alive view — so redirect decisions, client failover, and handoff
-// successor choice all agree without a coordinator. A nil alive means all
-// peers count. When every peer looks dead the static first-hop owner is
-// returned, so callers degrade to serving locally instead of wedging.
+// a jump consistent hash, skipping peers alive reports false: the key
+// rehashes deterministically until it lands on a live peer. Two properties
+// matter for the fleet: a key whose first-hop owner is alive never moves
+// when some other peer dies, and every peer and every cluster-aware client
+// computes the identical owner from the same alive view — so redirect
+// decisions, client failover, and handoff successor choice all agree
+// without a coordinator. A nil alive means all peers count. When every peer
+// looks dead the static first-hop owner is returned, so callers degrade to
+// serving locally instead of wedging.
 func OwnerOf(sessionID string, n int, alive func(int) bool) int {
 	if n <= 0 {
 		return 0
@@ -68,6 +69,26 @@ func OwnerOf(sessionID string, n int, alive func(int) bool) int {
 		key = key*6364136223846793005 + 1442695040888963407
 	}
 	return jumpHash(fnv64(sessionID), n)
+}
+
+// fnv64 hashes a session id to the ownership key space.
+func fnv64(s string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(s)) //nolint:errcheck // hash.Hash never errors
+	return h.Sum64()
+}
+
+// jumpHash is Lamping & Veach's jump consistent hash: maps key uniformly
+// onto [0, buckets) with no lookup table, and moves only 1/n of keys when a
+// bucket is added.
+func jumpHash(key uint64, buckets int) int {
+	var b, j int64 = -1, 0
+	for j < int64(buckets) {
+		b = j
+		key = key*2862933555777941757 + 1
+		j = int64(float64(b+1) * (float64(1<<31) / float64((key>>33)+1)))
+	}
+	return int(b)
 }
 
 // ClusterConfig wires a Cluster into one nsyncd process.
@@ -97,13 +118,6 @@ type ClusterConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// handoffTarget is the server-side surface a Cluster drains and refills —
-// both Server and Router implement it.
-type handoffTarget interface {
-	ExportSessions(timeout time.Duration) []HandoffSession
-	Recover(sessions []RecoveredSession, f RestoringFactory) int
-}
-
 // Cluster is one peer's view of the fleet: the static membership, a liveness
 // flag per peer maintained by probes, and the draining latch that flips
 // ownership away from this peer during handoff.
@@ -112,8 +126,8 @@ type Cluster struct {
 	alive    []atomic.Bool
 	draining atomic.Bool
 
-	target  handoffTarget
-	restore RestoringFactory
+	srv  *Server
+	pool *SharedPool
 
 	stop      chan struct{}
 	wg        sync.WaitGroup
@@ -149,12 +163,12 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
-// Bind attaches the server (or router) the cluster drains on handoff and
-// refills on receive, plus the factory that restores migrated-in sessions.
-// Call before Start.
-func (c *Cluster) Bind(t handoffTarget, f RestoringFactory) {
-	c.target = t
-	c.restore = f
+// Bind attaches the server the cluster drains on handoff and refills on
+// receive, plus the pool that restores migrated-in sessions. Call before
+// Start.
+func (c *Cluster) Bind(srv *Server, pool *SharedPool) {
+	c.srv = srv
+	c.pool = pool
 }
 
 // Start launches the per-peer health probe loops.
@@ -412,7 +426,7 @@ func (c *Cluster) serveHandoff(conn net.Conn, br *bufio.Reader, f *Frame) error 
 }
 
 func (c *Cluster) admitHandoff(conn net.Conn, br *bufio.Reader, rs RecoveredSession) string {
-	if c.target == nil || c.restore == nil {
+	if c.srv == nil || c.pool == nil {
 		return "peer not accepting handoffs"
 	}
 	if c.draining.Load() {
@@ -431,7 +445,7 @@ func (c *Cluster) admitHandoff(conn net.Conn, br *bufio.Reader, rs RecoveredSess
 		j.Admit(rs.SessionID, rs.Tenant, rs.Model, rs.Priority, rs.Channels)
 		j.Snapshot(rs.SessionID, rs.Committed, rs.State)
 	}
-	if n := c.target.Recover([]RecoveredSession{rs}, c.restore); n != 1 {
+	if n := c.srv.Recover([]RecoveredSession{rs}, c.pool); n != 1 {
 		return "not admitted" // Recover logged the reason and finished the journal entry
 	}
 	return ""
@@ -533,10 +547,10 @@ func (c *Cluster) HandoffAll(ctx context.Context) (migrated, failed int) {
 	// still sees us alive bounces mid-drain Hellos back here and the client
 	// ping-pongs until its redirect budget dies.
 	c.GossipNow()
-	if c.target == nil {
+	if c.srv == nil {
 		return 0, 0
 	}
-	sessions := c.target.ExportSessions(5 * time.Second)
+	sessions := c.srv.ExportSessions(5 * time.Second)
 	byPeer := map[int][]HandoffSession{}
 	for _, hs := range sessions {
 		succ := c.OwnerFor(hs.SessionID)

@@ -8,33 +8,25 @@ package ingest
 // ordinary resume path, indistinguishable from a resume after a dropped
 // connection.
 
-// RestoringFactory is a SinkFactory that can additionally rebuild a sink
-// from a journaled state snapshot. SharedPool implements it.
-type RestoringFactory interface {
-	SinkFactory
-	// Restore acquires a sink for hello (resolving hello.Model exactly as a
-	// live admission would) and, when state is non-nil, overwrites its
-	// detector with the journaled capture.
-	Restore(hello *Frame, state []byte) (Sink, error)
-}
-
 // Recover re-installs journaled sessions as detached sessions awaiting
 // reconnect, returning how many were recovered. A session that cannot be
 // restored — its model no longer resolves, its tenant quota is exhausted,
 // its id collides — is skipped, logged, and marked finished in the journal;
 // the client's reconnect then opens a fresh session instead of resuming.
-// Call before Serve, with the same Journal installed in cfg.Journal.
-func (srv *Server) Recover(sessions []RecoveredSession, f RestoringFactory) int {
+// Each sink is restored from pool, which resolves the journaled model
+// version exactly as a live admission would. Call before Serve, with the
+// same Journal installed in cfg.Journal.
+func (srv *Server) Recover(sessions []RecoveredSession, pool *SharedPool) int {
 	recovered := 0
 	for _, rs := range sessions {
-		if srv.recoverOne(rs, f) {
+		if srv.recoverOne(rs, pool) {
 			recovered++
 		}
 	}
 	return recovered
 }
 
-func (srv *Server) recoverOne(rs RecoveredSession, f RestoringFactory) bool {
+func (srv *Server) recoverOne(rs RecoveredSession, pool *SharedPool) bool {
 	skip := func(why string, args ...any) bool {
 		srv.logf("session %s: not recovered: "+why, append([]any{rs.SessionID}, args...)...)
 		if j := srv.cfg.Journal; j != nil {
@@ -72,17 +64,17 @@ func (srv *Server) recoverOne(rs RecoveredSession, f RestoringFactory) bool {
 		srv.pending--
 		srv.mu.Unlock()
 		if sink != nil {
-			f.Release(sink)
+			pool.Release(sink)
 		}
 		srv.tenants.release(tn, false)
 	}
-	sink, err := f.Restore(hello, rs.State)
+	sink, err := pool.Restore(hello, rs.State)
 	if err != nil {
 		rollback(nil)
 		return skip("%v", err)
 	}
 	s := newSession(srv, hello, sink, tn)
-	s.origin = f
+	s.origin = pool
 	for i, c := range rs.Committed {
 		if i < len(s.reseq) {
 			s.reseq[i].SeekTo(c)
@@ -115,15 +107,4 @@ func (srv *Server) recoverOne(rs RecoveredSession, f RestoringFactory) bool {
 	// the client's connection had just dropped.
 	s.detach(srv.cfg.Retention)
 	return true
-}
-
-// Recover steers each journaled session to its shard — the same jump-hash
-// placement a reconnecting client's Hello will get — and recovers it there.
-func (r *Router) Recover(sessions []RecoveredSession, f RestoringFactory) int {
-	recovered := 0
-	for _, rs := range sessions {
-		shard := r.shards[r.ShardFor(rs.SessionID)]
-		recovered += shard.Recover([]RecoveredSession{rs}, f)
-	}
-	return recovered
 }

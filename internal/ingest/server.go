@@ -38,17 +38,13 @@ type Config struct {
 	Retention time.Duration
 	// Resequencer bounds each channel's reorder buffer.
 	Resequencer ResequencerConfig
-	// TenantQuota is the default per-tenant admission quota (zero value:
-	// unlimited). Ignored when Tenants is set.
-	TenantQuota TenantQuota
 	// Tenants, when set, is the tenant accounting table to enforce quotas
-	// against. Share one table across a Router's shards so quotas hold
-	// fleet-wide; leave nil to let the server build its own from
-	// TenantQuota.
+	// against (and, with Cluster, to gossip to peers). Leave nil for an
+	// unlimited table.
 	Tenants *TenantTable
 	// Journal, when set, records session lifecycle and periodic resume
 	// points so a restarted server can recover detached sessions
-	// (DESIGN.md §16). Share one journal across a Router's shards.
+	// (DESIGN.md §16).
 	Journal *Journal
 	// SnapshotEveryFrames is how many consumed frames pass between journal
 	// snapshots of a session's committed counts and monitor state
@@ -119,7 +115,7 @@ func NewServer(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	tenants := cfg.Tenants
 	if tenants == nil {
-		tenants = NewTenantTable(cfg.TenantQuota)
+		tenants = NewTenantTable(TenantQuota{})
 	}
 	return &Server{
 		cfg:       cfg,
@@ -244,7 +240,23 @@ func (srv *Server) handle(conn net.Conn) {
 	if srv.redirect(conn, hello) {
 		return
 	}
-	srv.serveConn(conn, br, hello)
+	s, reject := srv.admit(hello)
+	if reject != "" {
+		srv.writeError(conn, reject)
+		return
+	}
+	if err := srv.attachWithGrace(s, conn); err != nil {
+		metRejected.Inc()
+		srv.writeError(conn, "session already attached")
+		return
+	}
+	conn.SetWriteDeadline(time.Now().Add(srv.cfg.WriteTimeout)) //nolint:errcheck // net.Conn deadlines
+	if err := WriteFrame(conn, &Frame{Type: FrameHelloAck, Committed: s.committedSnapshot()}); err != nil {
+		s.detach(srv.cfg.Retention)
+		return
+	}
+	srv.logf("session %s: attached (priority %d, %d channels)", s.id, s.priority, len(s.reseq))
+	srv.pump(conn, br, s)
 }
 
 // redirect answers a Hello owned by another peer with a Redirect frame and
@@ -272,29 +284,6 @@ func (srv *Server) hasSession(id string) bool {
 	defer srv.mu.Unlock()
 	_, ok := srv.sessions[id]
 	return ok
-}
-
-// serveConn runs the post-handshake lifetime of one connection whose Hello
-// has already been read — the entry point a Router uses after steering the
-// connection to its shard. The caller owns closing conn.
-func (srv *Server) serveConn(conn net.Conn, br *bufio.Reader, hello *Frame) {
-	s, reject := srv.admit(hello)
-	if reject != "" {
-		srv.writeError(conn, reject)
-		return
-	}
-	if err := srv.attachWithGrace(s, conn); err != nil {
-		metRejected.Inc()
-		srv.writeError(conn, "session already attached")
-		return
-	}
-	conn.SetWriteDeadline(time.Now().Add(srv.cfg.WriteTimeout)) //nolint:errcheck // net.Conn deadlines
-	if err := WriteFrame(conn, &Frame{Type: FrameHelloAck, Committed: s.committedSnapshot()}); err != nil {
-		s.detach(srv.cfg.Retention)
-		return
-	}
-	srv.logf("session %s: attached (priority %d, %d channels)", s.id, s.priority, len(s.reseq))
-	srv.pump(conn, br, s)
 }
 
 // attachWithGrace binds conn to the session, briefly retrying while the
@@ -683,7 +672,8 @@ func (srv *Server) removeSession(s *session) {
 	}
 	s.mu.Unlock()
 	// The sink goes back to the factory that created it — for a recovered
-	// session that is the RestoringFactory, not the server's own factory.
+	// session that is the pool it was restored from, not the server's own
+	// factory.
 	s.origin.Release(s.sink)
 	srv.tenants.release(s.tenant, true)
 	if j := srv.cfg.Journal; j != nil {

@@ -78,7 +78,7 @@ type session struct {
 	srv      *Server
 	sink     Sink
 	// origin is the factory the sink must be released to — the server's
-	// configured factory normally, the RestoringFactory for a recovered
+	// configured factory normally, the restoring pool for a recovered
 	// session.
 	origin SinkFactory
 	reseq  []*Resequencer

@@ -14,37 +14,28 @@ var (
 	shadowPushTimer = obs.GetTimer("model.shadow.push")
 )
 
-// SwapFactory is a SinkFactory that can be re-pointed at a new primary
-// factory — and optionally run a second, shadow factory side-by-side —
-// while sessions are live. Sessions acquired before a Swap keep the sinks
-// they started with and are released back to the factory that created them,
-// so a hot-swap never drops or corrupts an in-flight session; only sessions
-// admitted after the swap see the new model.
-//
-// The shadow path is the evaluation half of the registry's promotion walk:
-// every session is fed to both the primary and the shadow sink, both
-// verdicts are reported through the OnVerdict callback, and the session's
-// authoritative verdict is the primary's — unless the shadow was marked
-// serving (canary), in which case the shadow verdict is returned while the
-// primary still runs for comparison.
+// SwapFactory is a SinkFactory over a fixed primary factory that can run a
+// second, shadow factory side-by-side while sessions are live — the
+// evaluation half of the registry's promotion walk. While a shadow is
+// installed, every new session is fed to both the primary and the shadow
+// sink, both verdicts are reported through the OnVerdict callback, and the
+// session's authoritative verdict is the primary's — unless the shadow was
+// marked serving (canary), in which case the shadow verdict is returned
+// while the primary still runs for comparison. Sessions acquired before a
+// shadow change keep the sinks they started with, and each shadow sink is
+// released back to the factory that created it.
 type SwapFactory struct {
+	primary SinkFactory
+
 	mu        sync.Mutex
-	primary   SinkFactory
 	shadow    SinkFactory
 	serve     bool
 	onVerdict func(primary, shadow *Verdict)
 }
 
-// NewSwapFactory wraps the boot-time primary factory.
+// NewSwapFactory wraps the primary factory.
 func NewSwapFactory(primary SinkFactory) *SwapFactory {
 	return &SwapFactory{primary: primary}
-}
-
-// Swap re-points new sessions at p. In-flight sessions are unaffected.
-func (f *SwapFactory) Swap(p SinkFactory) {
-	f.mu.Lock()
-	f.primary = p
-	f.mu.Unlock()
 }
 
 // SetShadow installs a shadow factory for new sessions. When serve is true
@@ -81,52 +72,40 @@ func (f *SwapFactory) ClearShadow() {
 // broken candidate model must never cost a live session.
 func (f *SwapFactory) Acquire(hello *Frame) (Sink, error) {
 	f.mu.Lock()
-	primary, shadow, serve, onVerdict := f.primary, f.shadow, f.serve, f.onVerdict
+	shadow, serve, onVerdict := f.shadow, f.serve, f.onVerdict
 	f.mu.Unlock()
 
-	ps, err := primary.Acquire(hello)
+	ps, err := f.primary.Acquire(hello)
 	if err != nil {
 		return nil, err
 	}
 	if shadow != nil {
 		if ss, err := shadow.Acquire(hello); err == nil {
 			return &shadowSink{
-				primary: ps, pOrigin: primary,
-				shadow: ss, sOrigin: shadow,
+				primary: ps, shadow: ss, sOrigin: shadow,
 				serve: serve, onVerdict: onVerdict,
 			}, nil
 		}
 	}
-	return &routedSink{Sink: ps, origin: primary}, nil
+	return ps, nil
 }
 
-// Release implements SinkFactory: each wrapped sink goes back to the factory
-// that created it, which may no longer be the current primary.
+// Release implements SinkFactory: primary sinks go back to the primary, and
+// a shadow sink goes back to the factory that created it, which may no
+// longer be the installed shadow.
 func (f *SwapFactory) Release(s Sink) {
-	switch w := s.(type) {
-	case *routedSink:
-		w.origin.Release(w.Sink)
-	case *shadowSink:
-		w.pOrigin.Release(w.primary)
+	if w, ok := s.(*shadowSink); ok {
+		f.primary.Release(w.primary)
 		w.sOrigin.Release(w.shadow)
+		return
 	}
+	f.primary.Release(s)
 }
-
-// routedSink remembers which factory a primary-only sink came from.
-type routedSink struct {
-	Sink
-	origin SinkFactory
-}
-
-// Unwrap exposes the wrapped sink so journaling can reach the stateful
-// monitor sink underneath.
-func (w *routedSink) Unwrap() Sink { return w.Sink }
 
 // shadowSink tees a session into the primary and shadow sinks. The shadow
 // is best-effort: its first error drops it for the rest of the session.
 type shadowSink struct {
 	primary Sink
-	pOrigin SinkFactory
 	shadow  Sink
 	sOrigin SinkFactory
 

@@ -298,11 +298,12 @@ type sharedSink struct {
 // detector the session was pinned to.
 func (s *sharedSink) ModelVersion() string { return s.entry.version }
 
-// Restore implements RestoringFactory: it acquires a sink exactly as a live
-// admission would — resolving the journaled model version through the pool
-// and validating the channel layout — then overwrites the monitor with the
-// journaled snapshot. A nil state (the session crashed before its first
-// snapshot) yields a fresh sink; the client simply re-sends from the start.
+// Restore rebuilds a journaled or migrated session's sink: it acquires a
+// sink exactly as a live admission would — resolving the journaled model
+// version through the pool and validating the channel layout — then
+// overwrites the monitor with the journaled snapshot. A nil state (the
+// session crashed before its first snapshot) yields a fresh sink; the
+// client simply re-sends from the start.
 func (p *SharedPool) Restore(hello *Frame, state []byte) (Sink, error) {
 	s, err := p.Acquire(hello)
 	if err != nil {

@@ -34,9 +34,8 @@ type StatefulSink interface {
 	RestoreState(state []byte) error
 }
 
-// unwrapSink walks wrapper sinks (routedSink, shadowSink, external wrappers
-// exposing Unwrap) down to the innermost sink, where the stateful detector
-// lives.
+// unwrapSink walks wrapper sinks (shadowSink, external wrappers exposing
+// Unwrap) down to the innermost sink, where the stateful detector lives.
 func unwrapSink(s Sink) Sink {
 	for {
 		u, ok := s.(interface{ Unwrap() Sink })

@@ -35,10 +35,9 @@ type tenant struct {
 	depth    atomic.Int64
 }
 
-// TenantTable tracks per-tenant admission state. One table can be shared by
-// every shard of a Router so quotas hold fleet-wide, not per shard; it is
-// safe for concurrent use. Its mutex nests strictly inside Server.mu — the
-// table never calls back into a server.
+// TenantTable tracks per-tenant admission state; it is safe for concurrent
+// use. Its mutex nests strictly inside Server.mu — the table never calls
+// back into a server.
 type TenantTable struct {
 	mu      sync.Mutex
 	def     TenantQuota

@@ -109,7 +109,7 @@ func helloFrame(id, tenant string) *Frame {
 // under -race.
 func TestAdmitBurstRespectsTenantQuota(t *testing.T) {
 	f := &blockAfterFactory{gate: make(chan struct{})}
-	srv, err := NewServer(Config{Factory: f, TenantQuota: TenantQuota{MaxSessions: 2}})
+	srv, err := NewServer(Config{Factory: f, Tenants: NewTenantTable(TenantQuota{MaxSessions: 2})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestAdmitRechecksWatermarkAfterAcquire(t *testing.T) {
 // session of a tenant is refused while two are live, an unrelated tenant is
 // untouched, and finishing one session frees the slot.
 func TestTenantQuotaSessions(t *testing.T) {
-	addr, srv := startServer(t, Config{Factory: &countFactory{}, TenantQuota: TenantQuota{MaxSessions: 2}})
+	addr, srv := startServer(t, Config{Factory: &countFactory{}, Tenants: NewTenantTable(TenantQuota{MaxSessions: 2})})
 	hello := func(id, tenant string) Hello {
 		h := oneChanHello(id, 1)
 		h.Tenant = tenant
@@ -267,7 +267,7 @@ func TestTenantQuotaQueuedFrames(t *testing.T) {
 	t.Cleanup(openGate)
 	addr, srv := startServer(t, Config{
 		Factory: f, QueueDepth: 16, ShedWatermark: 1 << 20,
-		TenantQuota: TenantQuota{MaxQueuedFrames: 4},
+		Tenants: NewTenantTable(TenantQuota{MaxQueuedFrames: 4}),
 	})
 	hello := func(id, tenant string) Hello {
 		h := oneChanHello(id, 1)
