@@ -60,7 +60,7 @@ func runHandoffWave(b *testing.B, fx *fleetBenchFixture, iter int) handoffWaveRe
 			b.Fatal(err)
 		}
 		cl, err := ingest.NewCluster(ingest.ClusterConfig{
-			Peers: peers, PeerID: i, ProbeInterval: time.Hour, Seed: int64(i + 1), Pool: pool,
+			Peers: peers, PeerID: i, ProbeInterval: time.Hour,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -6,10 +6,10 @@ package main
 // so an attacker cannot steer the baseline). After enough absorbed prints
 // the evolved baseline becomes a content-addressed candidate model
 // (internal/registry) that must walk shadow → canary → active on live
-// sessions (internal/ingest.SwapFactory) before its verdicts count, with a
-// disagreement budget that rolls it back instead. The swap is hot: sessions
-// in flight keep the model they started with, and only new sessions see the
-// promoted one.
+// sessions (internal/ingest.SharedPool.SetShadow) before its verdicts count,
+// with a disagreement budget that rolls it back instead. The swap is hot:
+// sessions in flight keep the model they started with, and only new
+// sessions see the promoted one.
 
 import (
 	"log"
@@ -41,7 +41,7 @@ type continuousOptions struct {
 // mutex serializes engine access; deployment hooks run on session worker
 // goroutines (never while the mutex is held by the same call chain).
 type controller struct {
-	swap  *ingest.SwapFactory
+	pool  *ingest.SharedPool
 	specs []ingest.ChannelSpec
 
 	mu            sync.Mutex
@@ -58,9 +58,10 @@ type controller struct {
 // newController builds the continuous-operations loop around the boot-time
 // trained channels. feats are the per-channel training features (one slice
 // per channel, in chans order) that seed the engine's threshold window.
-// pool is the shared model pool new sessions are served from: a promoted
-// candidate is registered there and becomes the default version.
-func newController(opts continuousOptions, chans []core.FusedMonitorChannel, feats [][]*core.Features, specs []ingest.ChannelSpec, swap *ingest.SwapFactory, pool *ingest.SharedPool) (*controller, error) {
+// pool is the shared model pool new sessions are served from: a candidate
+// is teed into it as its shadow, and a promoted one is registered there and
+// becomes the default version.
+func newController(opts continuousOptions, chans []core.FusedMonitorChannel, feats [][]*core.Features, specs []ingest.ChannelSpec, pool *ingest.SharedPool) (*controller, error) {
 	rchans := make([]rebase.Channel, len(chans))
 	for i, ch := range chans {
 		rchans[i] = rebase.Channel{Name: ch.Name, Reference: ch.Reference, Params: ch.Params, Train: feats[i]}
@@ -86,14 +87,17 @@ func newController(opts continuousOptions, chans []core.FusedMonitorChannel, fea
 	}
 
 	c := &controller{
-		swap: swap, specs: specs, eng: eng,
+		pool: pool, specs: specs, eng: eng,
 		store:  opts.Store,
 		health: opts.Health, quorum: opts.Quorum,
 		rebaseAfter: opts.RebaseAfter,
 	}
 	c.dep = registry.NewDeployment(opts.Deploy, bootVersion)
 	c.dep.OnCanary = func(version string) {
-		swap.SetServe(true)
+		c.mu.Lock()
+		m := c.candidate
+		c.mu.Unlock()
+		pool.SetShadow(m, true, c.recordSession)
 		log.Printf("model %s entered canary: candidate verdicts now authoritative", version)
 	}
 	c.dep.OnPromote = func(version string) {
@@ -111,14 +115,14 @@ func newController(opts continuousOptions, chans []core.FusedMonitorChannel, fea
 				pool.SetDefault(version)
 			}
 		}
-		swap.ClearShadow()
+		pool.SetShadow(nil, false, nil)
 		log.Printf("promoted model %s to active (generation %d)", version, c.dep.Generation())
 	}
 	c.dep.OnRetire = func(version, reason string) {
 		c.mu.Lock()
 		c.candidate = nil
 		c.mu.Unlock()
-		swap.ClearShadow()
+		pool.SetShadow(nil, false, nil)
 		log.Printf("retired candidate model %s: %s", version, reason)
 	}
 	log.Printf("continuous re-baselining enabled: boot model %s, propose after %d absorbed prints", bootVersion, c.rebaseAfter)
@@ -201,22 +205,27 @@ func (c *controller) propose() {
 	}
 	c.candidate = m
 	c.sinceProposal = 0
-	c.swap.SetShadow(&ingest.MonitorPool{Build: m.Monitor, Channels: c.specs}, false, func(pv, sv *ingest.Verdict) {
-		c.dep.RecordSession(pv.Intrusion == sv.Intrusion)
-	})
+	c.pool.SetShadow(m, false, c.recordSession)
 	log.Printf("proposed candidate model %s (shadow)", version)
 }
 
-// captureFactory wraps the swap factory so each session's stream is also
+// recordSession scores one session that both the active and the candidate
+// model judged: agreement advances the candidate, disagreement spends its
+// budget.
+func (c *controller) recordSession(pv, sv *ingest.Verdict) {
+	c.dep.RecordSession(pv.Intrusion == sv.Intrusion)
+}
+
+// captureFactory wraps the model pool so each session's stream is also
 // captured for the re-baseline engine.
 type captureFactory struct {
-	inner *ingest.SwapFactory
-	ctrl  *controller
+	pool *ingest.SharedPool
+	ctrl *controller
 }
 
 // Acquire implements ingest.SinkFactory.
 func (f *captureFactory) Acquire(hello *ingest.Frame) (ingest.Sink, error) {
-	s, err := f.inner.Acquire(hello)
+	s, err := f.pool.Acquire(hello)
 	if err != nil {
 		return nil, err
 	}
@@ -237,10 +246,10 @@ func (f *captureFactory) Acquire(hello *ingest.Frame) (ingest.Sink, error) {
 // Release implements ingest.SinkFactory.
 func (f *captureFactory) Release(s ingest.Sink) {
 	if cs, ok := s.(*captureSink); ok {
-		f.inner.Release(cs.Sink)
+		f.pool.Release(cs.Sink)
 		return
 	}
-	f.inner.Release(s)
+	f.pool.Release(s)
 }
 
 // captureSink tees a session's lane-major samples into a buffer while

@@ -159,11 +159,11 @@ func run() error {
 	}
 	log.Printf("boot model %s registered (default)", bootVersion)
 
-	// All sessions go through the swap layer so a candidate model can shadow,
-	// then serve as canary on, live sessions; promotion itself flips the
-	// pool's default version.
-	swap := ingest.NewSwapFactory(pool)
-	var factory ingest.SinkFactory = swap
+	// Sessions are served straight from the pool. With -rebase, the pool
+	// also tees new sessions into a candidate model, which shadows, then
+	// serves as canary on, live sessions; promotion itself flips the pool's
+	// default version.
+	var factory ingest.SinkFactory = pool
 	if *rebaseAlpha > 0 {
 		ctrl, err := newController(continuousOptions{
 			Alpha: *rebaseAlpha, Window: *rebaseWindow, Margin: *occMargin,
@@ -173,11 +173,11 @@ func run() error {
 				ShadowSessions: *shadowSess, CanarySessions: *canarySess,
 				DisagreementBudget: *disagreeBgt,
 			},
-		}, chans, feats, specs, swap, pool)
+		}, chans, feats, specs, pool)
 		if err != nil {
 			return err
 		}
-		factory = &captureFactory{inner: swap, ctrl: ctrl}
+		factory = &captureFactory{pool: pool, ctrl: ctrl}
 	}
 	// With -journal, boot replays the session journal before serving: every
 	// session that was in flight when the previous process died comes back
@@ -200,8 +200,8 @@ func run() error {
 		log.Printf("session journal at %s (sync=%s)", *journalDir, *journalSync)
 	}
 
-	// The tenant table is built explicitly (not left to the server) so the
-	// cluster layer can gossip its usage to peers and fold theirs in.
+	// The server enforces the tenant quotas; with -peers, the cluster bound
+	// to it gossips the table's usage to peers and folds theirs in.
 	tenants := ingest.NewTenantTable(ingest.TenantQuota{MaxSessions: *tenantSess, MaxQueuedFrames: *tenantQueue})
 
 	// With -peers, this process is one peer of a static-membership fleet:
@@ -214,9 +214,6 @@ func run() error {
 			Peers:         peers,
 			PeerID:        *peerID,
 			ProbeInterval: *peerProbe,
-			Tenants:       tenants,
-			Pool:          pool,
-			Journal:       journal,
 			Logf:          log.Printf,
 		})
 		if err != nil {

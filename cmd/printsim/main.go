@@ -74,7 +74,7 @@ func run() error {
 		dropProb   = flag.Float64("drop", 0, "probability a frame is never sent (lossy)")
 		reconnect  = flag.Int("reconnect-every", 0, "force a disconnect+resume after every N frames")
 		backoff    = flag.Duration("reconnect-backoff", 0, "base delay between dial attempts, growing exponentially with seeded jitter (default 10ms)")
-		maxDials   = flag.Int("max-dials", 0, "total connection attempts per session, first dial included (default 8)")
+		maxDials   = flag.Int("max-dials", 0, "connection attempts per session that failures may spend, first dial included; -reconnect-every reconnects are refunded while the server commits (default 8)")
 		peersArg   = flag.String("peers", "", "comma-separated fleet peer addresses (the daemons' -peers list); sessions dial their jump-hash owner and fail over on peer death")
 		maxRedir   = flag.Int("max-redirects", 0, "redirect hops a session may follow before erroring, separate from -max-dials (default 8)")
 		cutChannel = flag.String("cut", "", "stop this channel's data at half the print (simulated sensor death)")

@@ -225,7 +225,12 @@ type ReplayOptions struct {
 	// mid-print. The server fills the missing half and health quarantine
 	// retires the channel.
 	CutChannels []int
-	// MaxDials bounds connection attempts, first dial included (default 8).
+	// MaxDials bounds the connection attempts that failures cause, first
+	// dial included (default 8): refused or broken dials, transport errors
+	// mid-stream, and redials in the finish phase. A reconnect that
+	// ReconnectAfter schedules is not a failure: its attempt is refunded
+	// once the server acknowledges more of the stream than before it. It
+	// still needs one attempt left to start, and its retries are charged.
 	MaxDials int
 	// Peers is the full static cluster membership, identical to the
 	// servers' -peers list. When set, the first dial targets the session's
@@ -256,13 +261,15 @@ type ReplayOptions struct {
 	Stats *ReplayStats
 }
 
-// ReplayStats carries measurements out of one Replay call.
+// ReplayStats carries measurements out of one Replay call. The counts are
+// filled in when Replay fails too.
 type ReplayStats struct {
 	// FinishLatency is the time from sending Finish to the verdict arriving:
 	// the tail flush plus the server's final decision, the latency an
 	// operator waits on at the end of a print.
 	FinishLatency time.Duration
-	// Dials is how many connections the replay used (1 = no reconnects).
+	// Dials is how many connection attempts the replay made, failed ones
+	// included (1 = no reconnects).
 	Dials int
 	// Redirects counts Redirect frames followed to another peer.
 	Redirects int
@@ -312,7 +319,8 @@ func Replay(addr string, h Hello, signals []*sigproc.Signal, opt ReplayOptions) 
 	frames, totals := buildSchedule(signals, h.Channels, rng, opt)
 
 	// dial retries transient connection failures with seeded, jittered
-	// exponential backoff, spending whatever remains of the MaxDials budget.
+	// exponential backoff, spending whatever remains of the MaxDials budget
+	// (scheduled reconnects that find the stream progressed are refunded).
 	// ECONNREFUSED is transient here: a restarting daemon refuses connections
 	// until its listener is back, and that window is exactly what the backoff
 	// is for. So is the server's "already attached" rejection: a deliberate
@@ -330,7 +338,12 @@ func Replay(addr string, h Hello, signals []*sigproc.Signal, opt ReplayOptions) 
 	// redirect toward a peer we just found dead means the sender's health
 	// view lags ours — wait out a backoff step and recompute instead of
 	// bouncing into a refused connection.
-	dials, redirects, stateLost := 0, 0, 0
+	dials, refunded, redirects, stateLost := 0, 0, 0, 0
+	if opt.Stats != nil {
+		defer func() {
+			opt.Stats.Dials, opt.Stats.Redirects, opt.Stats.StateLost = dials, redirects, stateLost
+		}()
+	}
 	dead := make([]bool, len(opt.Peers))
 	redirected := "" // sticky preferred target: last redirect followed or dial that worked
 	idxOf := func(a string) int {
@@ -366,9 +379,9 @@ func Replay(addr string, h Hello, signals []*sigproc.Signal, opt ReplayOptions) 
 	}
 	dial := func() (*Client, error) {
 		for {
-			budget := opt.MaxDials - dials
+			budget := opt.MaxDials + refunded - dials
 			if budget < 1 {
-				return nil, fmt.Errorf("ingest: dial budget exhausted after %d attempts", dials)
+				return nil, fmt.Errorf("ingest: dial budget exhausted after %d attempts", dials-refunded)
 			}
 			lastTarget := ""
 			c, err := resilience.Do(context.Background(), resilience.Policy{
@@ -493,8 +506,16 @@ func Replay(addr string, h Hello, signals []*sigproc.Signal, opt ReplayOptions) 
 				time.Sleep(opt.FramePause)
 			}
 			if opt.ReconnectAfter > 0 && sent%opt.ReconnectAfter == 0 && pos < len(frames) {
+				// A planned reconnect is not a failure, so its attempt is
+				// refunded once the server proves it holds more of the stream
+				// than before it. A server that accepts every connection but
+				// never commits is failing the stream and is not refunded.
+				before := ackedTotal(c)
 				if err := reconnect(); err != nil {
 					return nil, err
+				}
+				if ackedTotal(c) > before {
+					refunded++
 				}
 			}
 		}
@@ -511,13 +532,18 @@ func Replay(addr string, h Hello, signals []*sigproc.Signal, opt ReplayOptions) 
 			}
 			continue
 		}
-		if opt.Stats != nil {
-			opt.Stats.Dials = dials
-			opt.Stats.Redirects = redirects
-			opt.Stats.StateLost = stateLost
-		}
 		return v, err
 	}
+}
+
+// ackedTotal sums the committed counts of the connection's HelloAck: how
+// much of the stream the server held when the connection opened.
+func ackedTotal(c *Client) uint64 {
+	var n uint64
+	for _, v := range c.Committed {
+		n += v
+	}
+	return n
 }
 
 // finishOnce sends every channel's EOS and asks for the verdict on the

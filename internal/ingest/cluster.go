@@ -91,7 +91,8 @@ func jumpHash(key uint64, buckets int) int {
 	return int(b)
 }
 
-// ClusterConfig wires a Cluster into one nsyncd process.
+// ClusterConfig wires a Cluster into one nsyncd process. The tenant table,
+// journal and model pool come from the server and pool given to Bind.
 type ClusterConfig struct {
 	// Peers is the full static membership, identical (same order) on every
 	// peer and on cluster-aware clients; Peers[PeerID] is this process.
@@ -103,17 +104,6 @@ type ClusterConfig struct {
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe's dial and exchange (default 2s).
 	ProbeTimeout time.Duration
-	// Seed drives the probe jitter.
-	Seed int64
-	// Tenants, when set, receives gossiped per-peer tenant usage so
-	// MaxSessions holds approximately fleet-wide (see TenantTable).
-	Tenants *TenantTable
-	// Pool serves model blobs to peers fetching alongside a handoff and
-	// adopts blobs fetched from them. Required for model distribution.
-	Pool *SharedPool
-	// Journal, when set, records handed-off sessions on arrival so they
-	// survive a crash of the receiving peer too.
-	Journal *Journal
 	// Logf receives cluster lifecycle lines.
 	Logf func(format string, args ...any)
 }
@@ -164,8 +154,11 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 }
 
 // Bind attaches the server the cluster drains on handoff and refills on
-// receive, plus the pool that restores migrated-in sessions. Call before
-// Start.
+// receive, plus the pool that restores migrated-in sessions and serves and
+// adopts model blobs. The server's tenant table carries the quota gossip
+// (so MaxSessions holds approximately fleet-wide, see TenantTable), and its
+// journal, when set, records handed-off sessions on arrival so they survive
+// a crash of the receiving peer too. Call before Start and Serve.
 func (c *Cluster) Bind(srv *Server, pool *SharedPool) {
 	c.srv = srv
 	c.pool = pool
@@ -246,17 +239,27 @@ func (c *Cluster) logf(format string, args ...any) {
 
 func (c *Cluster) probeLoop(peer int) {
 	defer c.wg.Done()
-	rng := rand.New(rand.NewSource(c.cfg.Seed ^ (int64(peer+1) * -0x61C8864680B583EB)))
+	next := c.probeDelays(peer)
 	for {
-		// Jittered wait in [0.5, 1.5) × interval so probes from a fleet of
-		// peers spread instead of synchronizing into bursts.
-		d := time.Duration(float64(c.cfg.ProbeInterval) * (0.5 + rng.Float64()))
+		d := next()
 		select {
 		case <-c.stop:
 			return
 		case <-time.After(d):
 		}
 		c.probe(peer)
+	}
+}
+
+// probeDelays returns the stream of waits between probes toward peer, each
+// in [0.5, 1.5) × the interval so probes from a fleet of peers spread
+// instead of synchronizing into bursts. The jitter is seeded from both ends
+// of the probe, so the peers probing one target each draw their own
+// sequence.
+func (c *Cluster) probeDelays(peer int) func() time.Duration {
+	rng := rand.New(rand.NewSource(int64(c.cfg.PeerID+1) ^ (int64(peer+1) * -0x61C8864680B583EB)))
+	return func() time.Duration {
+		return time.Duration(float64(c.cfg.ProbeInterval) * (0.5 + rng.Float64()))
 	}
 }
 
@@ -306,10 +309,18 @@ func (c *Cluster) GossipNow() {
 }
 
 func (c *Cluster) localUsage() []TenantUsage {
-	if c.cfg.Tenants == nil {
+	if c.srv == nil {
 		return nil
 	}
-	return c.cfg.Tenants.Usage()
+	return c.srv.tenants.Usage()
+}
+
+// setRemote folds a peer's gossiped tenant usage into the bound server's
+// table; nil usage forgets the peer.
+func (c *Cluster) setRemote(peer int, usage []TenantUsage) {
+	if c.srv != nil {
+		c.srv.tenants.SetRemote(peer, usage)
+	}
 }
 
 func (c *Cluster) peerUp(peer int, usage []TenantUsage) {
@@ -319,9 +330,7 @@ func (c *Cluster) peerUp(peer int, usage []TenantUsage) {
 	if !c.alive[peer].Swap(true) {
 		c.logf("cluster: peer %d (%s) reachable", peer, c.cfg.Peers[peer])
 	}
-	if c.cfg.Tenants != nil {
-		c.cfg.Tenants.SetRemote(peer, usage)
-	}
+	c.setRemote(peer, usage)
 }
 
 func (c *Cluster) peerDown(peer int, err error) {
@@ -331,9 +340,7 @@ func (c *Cluster) peerDown(peer int, err error) {
 	}
 	// A dead peer's gossiped sessions stop counting against the fleet quota;
 	// its clients are about to fail over here and must not be double-counted.
-	if c.cfg.Tenants != nil {
-		c.cfg.Tenants.SetRemote(peer, nil)
-	}
+	c.setRemote(peer, nil)
 }
 
 // peerDraining marks a peer out of the ownership set while its process is
@@ -348,9 +355,7 @@ func (c *Cluster) peerDraining(peer int) {
 	if c.alive[peer].Swap(false) {
 		c.logf("cluster: peer %d (%s) draining; ownership recomputed", peer, c.cfg.Peers[peer])
 	}
-	if c.cfg.Tenants != nil {
-		c.cfg.Tenants.SetRemote(peer, nil)
-	}
+	c.setRemote(peer, nil)
 }
 
 // ---- Inbound peer traffic ----
@@ -432,7 +437,7 @@ func (c *Cluster) admitHandoff(conn net.Conn, br *bufio.Reader, rs RecoveredSess
 	if c.draining.Load() {
 		return "peer is draining"
 	}
-	if rs.Model != "" && c.cfg.Pool != nil && !c.cfg.Pool.Has(rs.Model) {
+	if rs.Model != "" && !c.pool.Has(rs.Model) {
 		if err := c.fetchModelFrom(conn, br, rs.Model); err != nil {
 			return fmt.Sprintf("model %s unavailable: %v", rs.Model, err)
 		}
@@ -441,7 +446,7 @@ func (c *Cluster) admitHandoff(conn net.Conn, br *bufio.Reader, rs RecoveredSess
 	// Journal the arrival before admitting: a crash of this peer right after
 	// the ack must still find the session at boot. A failed admit below runs
 	// the ordinary skip path, which marks it finished again.
-	if j := c.cfg.Journal; j != nil {
+	if j := c.srv.cfg.Journal; j != nil {
 		j.Admit(rs.SessionID, rs.Tenant, rs.Model, rs.Priority, rs.Channels)
 		j.Snapshot(rs.SessionID, rs.Committed, rs.State)
 	}
@@ -459,7 +464,7 @@ func (c *Cluster) fetchModelFrom(conn net.Conn, br *bufio.Reader, version string
 	if err != nil {
 		return err
 	}
-	if _, err := c.cfg.Pool.AdoptBlob(version, blob); err != nil {
+	if _, err := c.pool.AdoptBlob(version, blob); err != nil {
 		return err
 	}
 	return nil
@@ -471,10 +476,10 @@ func (c *Cluster) fetchModelFrom(conn net.Conn, br *bufio.Reader, version string
 func (c *Cluster) sendModelChunks(conn net.Conn, version string) error {
 	var blob []byte
 	var err error
-	if c.cfg.Pool == nil {
+	if c.pool == nil {
 		err = errors.New("no model pool")
 	} else {
-		blob, err = c.cfg.Pool.ModelBlob(version)
+		blob, err = c.pool.ModelBlob(version)
 	}
 	if err != nil {
 		return WriteFrame(conn, &Frame{Type: FrameError, Message: fmt.Sprintf("model %s: %v", version, err)})

@@ -67,6 +67,35 @@ func TestOwnerOfProperties(t *testing.T) {
 	}
 }
 
+// TestClusterProbeJitterPerPeer: two peers probing the same target draw
+// different delay sequences, so a fleet's probes spread instead of landing
+// on a target together; each peer's own sequence stays reproducible.
+func TestClusterProbeJitterPerPeer(t *testing.T) {
+	peers := []string{"a:1", "b:1", "c:1"}
+	delays := func(id int) []time.Duration {
+		cl, err := NewCluster(ClusterConfig{Peers: peers, PeerID: id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := cl.probeDelays(2)
+		out := make([]time.Duration, 8)
+		for i := range out {
+			out[i] = next()
+			if out[i] < time.Second/2 || out[i] >= 3*time.Second/2 {
+				t.Fatalf("peer %d: delay %v outside [0.5, 1.5) × the 1s default interval", id, out[i])
+			}
+		}
+		return out
+	}
+	d0, d1 := delays(0), delays(1)
+	if reflect.DeepEqual(d0, d1) {
+		t.Fatalf("peers 0 and 1 probe peer 2 with the same delays %v", d0)
+	}
+	if again := delays(0); !reflect.DeepEqual(again, d0) {
+		t.Fatalf("peer 0's delays are not reproducible: %v then %v", d0, again)
+	}
+}
+
 // sessionOwnedBy searches for a session id whose static jump-hash owner is
 // the given peer — tests use it to aim traffic at a specific peer.
 func sessionOwnedBy(t *testing.T, owner, n int) string {
@@ -99,8 +128,7 @@ func bootFleetPeer(t *testing.T, l net.Listener, peers []string, id int, pool *S
 		interval = time.Hour // effectively quiescent; tests drive GossipNow
 	}
 	cl, err := NewCluster(ClusterConfig{
-		Peers: peers, PeerID: id, ProbeInterval: interval, ProbeTimeout: time.Second,
-		Seed: int64(id + 1), Tenants: tenants, Pool: pool, Logf: t.Logf,
+		Peers: peers, PeerID: id, ProbeInterval: interval, ProbeTimeout: time.Second, Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -120,13 +120,15 @@ func fixture(t *testing.T) *e2eFixture {
 	return e2eFx
 }
 
-func (fx *e2eFixture) pool(k int) *MonitorPool {
-	return &MonitorPool{
-		Build: func() (*core.FusedMonitor, error) {
-			return core.NewFusedMonitor(fx.chans, core.FusedConfig{K: k})
-		},
-		Channels: fx.specs,
+// pool serves the fixture at vote quorum k as nsyncd serves its boot model:
+// registered, pinned and the default of a SharedPool.
+func (fx *e2eFixture) pool(t *testing.T, k int) *SharedPool {
+	t.Helper()
+	p := NewSharedPool(nil)
+	if _, err := p.Register(fixtureModel(t, k)); err != nil {
+		t.Fatal(err)
 	}
+	return p
 }
 
 // inProcessVerdict is the ground truth: the same runs pushed straight into
@@ -186,7 +188,7 @@ func (fx *e2eFixture) hello(id string, priority int) Hello {
 // exactly the verdict the detection core gives the clean stream in process.
 func TestE2EVerdictEquivalence(t *testing.T) {
 	fx := fixture(t)
-	addr, _ := startServer(t, Config{Factory: fx.pool(1), ReadTimeout: 20 * time.Second})
+	addr, _ := startServer(t, Config{Factory: fx.pool(t, 1), ReadTimeout: 20 * time.Second})
 	for _, tc := range []struct {
 		name string
 		seed int64
@@ -200,13 +202,9 @@ func TestE2EVerdictEquivalence(t *testing.T) {
 			runs := []*sigproc.Signal{tc.mk(rng, fx.refs[0]), tc.mk(rng, fx.refs[1])}
 			want := fx.inProcessVerdict(t, 1, runs)
 
-			// Scheduled reconnects spend the dial budget too, and each resume
-			// re-sends the frames the server had not yet committed, so a slow
-			// server (under -race) triggers more of them than the default
-			// budget of 8 covers. The budget is not what this test checks.
 			v, err := Replay(addr, fx.hello("equiv-"+tc.name, 100), runs, ReplayOptions{
 				FrameSamples: 64, Seed: tc.seed,
-				ShuffleWindow: 6, DupProb: 0.15, ReconnectAfter: 17, MaxDials: 64,
+				ShuffleWindow: 6, DupProb: 0.15, ReconnectAfter: 17,
 			})
 			if err != nil {
 				t.Fatalf("replay: %v", err)
@@ -237,7 +235,7 @@ func TestE2EVerdictEquivalence(t *testing.T) {
 // remaining channel must keep the verdict correct either way.
 func TestE2EDeadChannelDegrades(t *testing.T) {
 	fx := fixture(t)
-	addr, _ := startServer(t, Config{Factory: fx.pool(1), ReadTimeout: 20 * time.Second})
+	addr, _ := startServer(t, Config{Factory: fx.pool(t, 1), ReadTimeout: 20 * time.Second})
 	for _, tc := range []struct {
 		name string
 		seed int64

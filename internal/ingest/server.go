@@ -24,20 +24,16 @@ type Config struct {
 	// lowest-priority active session is shed (default 256).
 	ShedWatermark int
 	// ReadTimeout is the per-frame read deadline (default 30s). A client
-	// silent for this long is evicted as stalled.
+	// silent for this long is evicted as stalled. It also bounds every
+	// outbound frame — HelloAck, Verdict, Error — so a client that stops
+	// reading cannot pin a handler on its terminal write.
 	ReadTimeout time.Duration
-	// WriteTimeout is the deadline for every outbound frame — HelloAck,
-	// Verdict, Error — so a client that stops reading cannot pin a handler
-	// on its terminal write (default: ReadTimeout).
-	WriteTimeout time.Duration
 	// EnqueueTimeout is how long a handler may block on a full session
 	// queue before the session is evicted as unserviceable (default 10s).
 	EnqueueTimeout time.Duration
 	// Retention is how long a detached session (connection lost before
 	// Finish) waits for the client to reconnect and resume (default 60s).
 	Retention time.Duration
-	// Resequencer bounds each channel's reorder buffer.
-	Resequencer ResequencerConfig
 	// Tenants, when set, is the tenant accounting table to enforce quotas
 	// against (and, with Cluster, to gossip to peers). Leave nil for an
 	// unlimited table.
@@ -69,9 +65,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ReadTimeout <= 0 {
 		c.ReadTimeout = 30 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = c.ReadTimeout
 	}
 	if c.EnqueueTimeout <= 0 {
 		c.EnqueueTimeout = 10 * time.Second
@@ -250,7 +243,7 @@ func (srv *Server) handle(conn net.Conn) {
 		srv.writeError(conn, "session already attached")
 		return
 	}
-	conn.SetWriteDeadline(time.Now().Add(srv.cfg.WriteTimeout)) //nolint:errcheck // net.Conn deadlines
+	conn.SetWriteDeadline(time.Now().Add(srv.cfg.ReadTimeout)) //nolint:errcheck // net.Conn deadlines
 	if err := WriteFrame(conn, &Frame{Type: FrameHelloAck, Committed: s.committedSnapshot()}); err != nil {
 		s.detach(srv.cfg.Retention)
 		return
@@ -273,7 +266,7 @@ func (srv *Server) redirect(conn net.Conn, hello *Frame) bool {
 	}
 	metRedirects.Inc()
 	srv.logf("session %s: redirected to peer %d (%s)", hello.SessionID, peer, addr)
-	conn.SetWriteDeadline(time.Now().Add(srv.cfg.WriteTimeout))           //nolint:errcheck // net.Conn deadlines
+	conn.SetWriteDeadline(time.Now().Add(srv.cfg.ReadTimeout))            //nolint:errcheck // net.Conn deadlines
 	WriteFrame(conn, &Frame{Type: FrameRedirect, Addr: addr, Peer: peer}) //nolint:errcheck // client may be gone
 	return true
 }
@@ -395,14 +388,14 @@ func (srv *Server) deliverOutcome(conn net.Conn, s *session) {
 		return
 	}
 	metCompleted.Inc()
-	conn.SetWriteDeadline(time.Now().Add(srv.cfg.WriteTimeout))  //nolint:errcheck // net.Conn deadlines
+	conn.SetWriteDeadline(time.Now().Add(srv.cfg.ReadTimeout))   //nolint:errcheck // net.Conn deadlines
 	WriteFrame(conn, &Frame{Type: FrameVerdict, Verdict: out.v}) //nolint:errcheck // client may be gone
 	srv.logf("session %s: %s (intrusion=%v)", s.id, out.v.Reason, out.v.Intrusion)
 }
 
 func (srv *Server) writeError(conn net.Conn, msg string) {
-	conn.SetWriteDeadline(time.Now().Add(srv.cfg.WriteTimeout)) //nolint:errcheck // net.Conn deadlines
-	WriteFrame(conn, &Frame{Type: FrameError, Message: msg})    //nolint:errcheck // best-effort report
+	conn.SetWriteDeadline(time.Now().Add(srv.cfg.ReadTimeout)) //nolint:errcheck // net.Conn deadlines
+	WriteFrame(conn, &Frame{Type: FrameError, Message: msg})   //nolint:errcheck // best-effort report
 }
 
 func (srv *Server) isDraining() bool {

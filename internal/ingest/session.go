@@ -132,7 +132,7 @@ func newSession(srv *Server, hello *Frame, sink Sink, tn *tenant) *session {
 		done:      make(chan struct{}),
 	}
 	for i, ch := range hello.Channels {
-		s.reseq[i] = NewResequencer(ch.Lanes, srv.cfg.Resequencer)
+		s.reseq[i] = NewResequencer(ch.Lanes, ResequencerConfig{})
 	}
 	return s
 }

@@ -1,9 +1,8 @@
 package ingest
 
 import (
-	"sync"
-
 	"nsync/internal/obs"
+	"nsync/internal/registry"
 )
 
 // Per-version push latency timers: how long the active and shadow models
@@ -14,100 +13,50 @@ var (
 	shadowPushTimer = obs.GetTimer("model.shadow.push")
 )
 
-// SwapFactory is a SinkFactory over a fixed primary factory that can run a
-// second, shadow factory side-by-side while sessions are live — the
-// evaluation half of the registry's promotion walk. While a shadow is
-// installed, every new session is fed to both the primary and the shadow
-// sink, both verdicts are reported through the OnVerdict callback, and the
-// session's authoritative verdict is the primary's — unless the shadow was
-// marked serving (canary), in which case the shadow verdict is returned
-// while the primary still runs for comparison. Sessions acquired before a
-// shadow change keep the sinks they started with, and each shadow sink is
-// released back to the factory that created it.
-type SwapFactory struct {
-	primary SinkFactory
-
-	mu        sync.Mutex
-	shadow    SinkFactory
-	serve     bool
-	onVerdict func(primary, shadow *Verdict)
-}
-
-// NewSwapFactory wraps the primary factory.
-func NewSwapFactory(primary SinkFactory) *SwapFactory {
-	return &SwapFactory{primary: primary}
-}
-
-// SetShadow installs a shadow factory for new sessions. When serve is true
-// the shadow's verdict is authoritative (canary); onVerdict, if non-nil, is
-// called with both verdicts whenever a session produced both.
-func (f *SwapFactory) SetShadow(s SinkFactory, serve bool, onVerdict func(primary, shadow *Verdict)) {
-	f.mu.Lock()
-	f.shadow = s
-	f.serve = serve
-	f.onVerdict = onVerdict
-	f.mu.Unlock()
-}
-
-// SetServe flips whether the shadow's verdict is authoritative for sessions
-// admitted from now on (shadow → canary).
-func (f *SwapFactory) SetServe(serve bool) {
-	f.mu.Lock()
-	f.serve = serve
-	f.mu.Unlock()
-}
-
-// ClearShadow removes the shadow path for new sessions. Sessions already
-// carrying a shadow sink finish it and release it to its origin factory.
-func (f *SwapFactory) ClearShadow() {
-	f.mu.Lock()
-	f.shadow = nil
-	f.serve = false
-	f.onVerdict = nil
-	f.mu.Unlock()
-}
-
-// Acquire implements SinkFactory. The primary acquire is load-bearing; a
-// shadow acquire failure only degrades the session to primary-only — a
-// broken candidate model must never cost a live session.
-func (f *SwapFactory) Acquire(hello *Frame) (Sink, error) {
-	f.mu.Lock()
-	shadow, serve, onVerdict := f.shadow, f.serve, f.onVerdict
-	f.mu.Unlock()
-
-	ps, err := f.primary.Acquire(hello)
-	if err != nil {
-		return nil, err
-	}
-	if shadow != nil {
-		if ss, err := shadow.Acquire(hello); err == nil {
-			return &shadowSink{
-				primary: ps, shadow: ss, sOrigin: shadow,
-				serve: serve, onVerdict: onVerdict,
-			}, nil
+// SetShadow installs m as the candidate model new sessions are teed into —
+// the evaluation half of the registry's promotion walk — or clears the
+// candidate when m is nil. The candidate is one more content-addressed pool
+// entry, shared with any Hello that pins its version, and the shadow slot
+// holds one reference on it: an unpinned candidate is evicted once it is
+// cleared and the last session teed into it releases.
+//
+// When serve is false (shadow) the primary's verdict counts; when it is true
+// (canary) the candidate's verdict counts while the primary still runs for
+// comparison. onVerdict, if non-nil, is called with both verdicts whenever
+// a session produced both. Sessions admitted earlier keep the sinks they
+// started with. A model whose content address cannot be computed cannot be
+// served, so it clears the candidate.
+func (p *SharedPool) SetShadow(m *registry.Model, serve bool, onVerdict func(primary, shadow *Verdict)) {
+	var version string
+	if m != nil {
+		var err error
+		if version, err = m.Version(); err != nil {
+			m = nil
 		}
 	}
-	return ps, nil
-}
-
-// Release implements SinkFactory: primary sinks go back to the primary, and
-// a shadow sink goes back to the factory that created it, which may no
-// longer be the installed shadow.
-func (f *SwapFactory) Release(s Sink) {
-	if w, ok := s.(*shadowSink); ok {
-		f.primary.Release(w.primary)
-		w.sOrigin.Release(w.shadow)
-		return
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var e *sharedEntry
+	if m != nil {
+		if e = p.entries[version]; e == nil {
+			e = newSharedEntry(version, m, false)
+			p.entries[version] = e
+		}
+		e.refs++
 	}
-	f.primary.Release(s)
+	if old := p.shadow; old != nil {
+		old.refs--
+		p.evictLocked(old)
+	}
+	p.shadow, p.serve, p.onVerdict = e, serve, onVerdict
 }
 
 // shadowSink tees a session into the primary and shadow sinks. The shadow
 // is best-effort: its first error drops it for the rest of the session.
+// Each half remembers its own pool entry, so Release returns it there.
 type shadowSink struct {
 	primary Sink
 	shadow  Sink
-	sOrigin SinkFactory
 
 	serve      bool
 	onVerdict  func(primary, shadow *Verdict)

@@ -13,29 +13,36 @@ import (
 // printing the same part share one content-addressed model — one set of
 // reference signals in memory — while each session still gets its own
 // monitor (monitors hold per-stream state and cannot be shared). Entries
-// are refcounted: a model loaded on demand from the backing Store is
+// are refcounted: a model loaded on demand from the backing store is
 // evicted when its last session releases, so a fleet cycling through many
 // part models does not accumulate every reference it ever served; models
 // installed with Register are pinned and survive idle periods.
 //
 // A session selects its model by content address in Hello.Model; an empty
-// address means the pool's default. Monitors are recycled per entry the way
-// MonitorPool recycles them (Reset on release, bounded idle list).
+// address means the pool's default. Each entry recycles its sinks: Release
+// resets the monitor and parks the sink on a bounded idle list, so steady
+// state builds no new monitors or push scratch. While a candidate model is
+// set (SetShadow), new sessions are also teed into it.
 type SharedPool struct {
-	// Store, when set, resolves model versions not yet resident. Leave nil
-	// to serve only Registered models.
-	Store *registry.Store
-	// MaxIdlePerModel bounds how many reset monitors each entry keeps
-	// (default 4).
-	MaxIdlePerModel int
+	store *registry.Store // nil: serve only Registered models
 
 	mu      sync.Mutex
 	def     string // default version for Hellos with no Model
 	entries map[string]*sharedEntry
+
+	// shadow is the candidate entry new sessions are teed into, or nil; the
+	// slot holds one reference on it. serve and onVerdict go with it.
+	shadow    *sharedEntry
+	serve     bool
+	onVerdict func(primary, shadow *Verdict)
 }
 
+// maxIdlePerModel bounds how many reset sinks each entry keeps parked.
+const maxIdlePerModel = 4
+
 // sharedEntry is one resident model and its recycled sinks. refs counts
-// live sinks; pinned entries ignore refs for eviction.
+// live sinks, plus one while the entry is the shadow candidate; pinned
+// entries ignore refs for eviction.
 type sharedEntry struct {
 	version string
 	model   *registry.Model
@@ -48,8 +55,12 @@ type sharedEntry struct {
 
 // NewSharedPool builds an empty pool backed by store (which may be nil).
 func NewSharedPool(store *registry.Store) *SharedPool {
-	return &SharedPool{Store: store, entries: map[string]*sharedEntry{}}
+	return &SharedPool{store: store, entries: map[string]*sharedEntry{}}
 }
+
+// NewSwapFactory returns pool, which tees candidate models itself (see
+// SetShadow). It remains for existing callers; new code uses the pool.
+func NewSwapFactory(pool *SharedPool) *SharedPool { return pool }
 
 // Register makes a model resident and pinned, returning its content
 // address. The first registered model becomes the pool's default.
@@ -75,7 +86,8 @@ func (p *SharedPool) Register(m *registry.Model) (string, error) {
 }
 
 // SetDefault selects the version Hellos with an empty Model field get. The
-// version must be resident or resolvable from the Store at admission time.
+// version must be resident or resolvable from the backing store at
+// admission time.
 func (p *SharedPool) SetDefault(version string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -90,7 +102,7 @@ func (p *SharedPool) Default() string {
 }
 
 // Resident reports how many models are currently resident and how many
-// sessions hold sinks across them.
+// references they hold: live sinks, plus the shadow slot's (see Refs).
 func (p *SharedPool) Resident() (models, refs int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -110,10 +122,10 @@ func (p *SharedPool) Has(version string) bool {
 	if ok {
 		return true
 	}
-	if p.Store == nil {
+	if p.store == nil {
 		return false
 	}
-	_, ok, err := p.Store.Get(version)
+	_, ok, err := p.store.Get(version)
 	return err == nil && ok
 }
 
@@ -160,13 +172,14 @@ func (p *SharedPool) AdoptBlob(version string, blob []byte) (string, error) {
 	if v != version {
 		return "", fmt.Errorf("ingest: model blob hashes to %s, want %s", v, version)
 	}
-	if p.Store != nil {
-		return p.Store.Put(&m)
+	if p.store != nil {
+		return p.store.Put(&m)
 	}
 	return p.Register(&m)
 }
 
-// Refs reports how many live sinks the given version has.
+// Refs reports how many references the given version holds: one per live
+// sink, plus one while it is the shadow candidate.
 func (p *SharedPool) Refs(version string) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -185,66 +198,112 @@ func newSharedEntry(v string, m *registry.Model, pinned bool) *sharedEntry {
 }
 
 // Acquire implements SinkFactory: it resolves the Hello's model (resident,
-// or loaded from the Store and made resident), validates the channel layout
-// against it, and hands out a sink — recycled if one is idle, freshly
-// built otherwise. The entry's refcount is taken before the build runs so a
-// concurrent Release cannot evict the entry out from under it.
+// or loaded from the store and made resident), validates the channel layout
+// against it, and hands out a sink of that entry. While a candidate is set,
+// the session is also teed into a sink of the candidate's entry. A
+// candidate that cannot serve the session — another channel layout, a
+// monitor that fails to build — leaves it primary-only: a broken candidate
+// model must never cost a live session.
 func (p *SharedPool) Acquire(hello *Frame) (Sink, error) {
+	return p.acquire(hello, true)
+}
+
+// acquire checks out a sink of the Hello's model and, when tee is set and a
+// candidate is installed, a sink of the candidate too, returning the two
+// teed together.
+func (p *SharedPool) acquire(hello *Frame, tee bool) (Sink, error) {
 	p.mu.Lock()
-	version := hello.Model
+	var primary, shadow *sharedSink
+	e, err := p.resolveLocked(hello.Model)
+	if err == nil {
+		primary, err = e.takeLocked(hello.Channels)
+		p.evictLocked(e) // a store-loaded entry the layout did not fit leaves again
+	}
+	if err == nil && tee && p.shadow != nil {
+		shadow, _ = p.shadow.takeLocked(hello.Channels) // another layout: primary-only
+	}
+	serve, onVerdict := p.serve, p.onVerdict
+	p.mu.Unlock()
+	if err == nil {
+		err = p.build(primary)
+	}
+	if err != nil {
+		if shadow != nil {
+			p.checkin(shadow)
+		}
+		return nil, err
+	}
+	if shadow == nil || p.build(shadow) != nil {
+		return primary, nil
+	}
+	return &shadowSink{primary: primary, shadow: shadow, serve: serve, onVerdict: onVerdict}, nil
+}
+
+// resolveLocked returns the entry for version (empty: the default), loading
+// it from the store when it is not resident. The load runs with p.mu
+// released; callers hold p.mu.
+func (p *SharedPool) resolveLocked(version string) (*sharedEntry, error) {
 	if version == "" {
 		version = p.def
 	}
 	if version == "" {
-		p.mu.Unlock()
 		return nil, fmt.Errorf("ingest: no model requested and pool has no default")
 	}
-	e, ok := p.entries[version]
-	if !ok {
-		p.mu.Unlock()
-		loaded, err := p.load(version)
-		if err != nil {
-			return nil, err
-		}
-		p.mu.Lock()
-		// Another Acquire may have raced the load; keep whichever entry won.
-		if cur, ok := p.entries[version]; ok {
-			e = cur
-		} else {
-			e = loaded
-			p.entries[version] = e
-		}
+	if e, ok := p.entries[version]; ok {
+		return e, nil
 	}
-	if err := matchChannelSpecs(hello.Channels, e.specs); err != nil {
-		p.mu.Unlock()
+	p.mu.Unlock()
+	loaded, err := p.load(version)
+	p.mu.Lock()
+	if err != nil {
+		return nil, err
+	}
+	// Another Acquire may have raced the load; keep whichever entry won.
+	if e, ok := p.entries[version]; ok {
+		return e, nil
+	}
+	p.entries[version] = loaded
+	return loaded, nil
+}
+
+// takeLocked reserves a sink of e for a session with the given channel
+// layout: a parked one if e has any, else an empty one for build to fill.
+// The reference is taken here, under the pool's mutex, so a concurrent
+// Release cannot evict e while the monitor is built unlocked.
+func (e *sharedEntry) takeLocked(channels []ChannelSpec) (*sharedSink, error) {
+	if err := matchChannelSpecs(channels, e.specs); err != nil {
 		return nil, err
 	}
 	e.refs++
-	var ss *sharedSink
 	if n := len(e.idle); n > 0 {
-		ss, e.idle = e.idle[n-1], e.idle[:n-1]
-	}
-	p.mu.Unlock()
-	if ss != nil {
+		ss := e.idle[n-1]
+		e.idle = e.idle[:n-1]
 		return ss, nil
 	}
-	fm, err := e.model.Monitor()
-	if err != nil {
-		p.mu.Lock()
-		e.refs--
-		p.evictLocked(e)
-		p.mu.Unlock()
-		return nil, err
+	return &sharedSink{entry: e}, nil
+}
+
+// build gives a sink from takeLocked its monitor if it has none yet; when
+// the monitor cannot be built the sink's reference is returned.
+func (p *SharedPool) build(ss *sharedSink) error {
+	if ss.MonitorSink != nil {
+		return nil
 	}
-	return &sharedSink{MonitorSink: NewMonitorSink(fm, e.specs), entry: e}, nil
+	fm, err := ss.entry.model.Monitor()
+	if err != nil {
+		p.checkin(ss)
+		return err
+	}
+	ss.MonitorSink = NewMonitorSink(fm, ss.entry.specs)
+	return nil
 }
 
 // load resolves a non-resident version from the backing store.
 func (p *SharedPool) load(version string) (*sharedEntry, error) {
-	if p.Store == nil {
+	if p.store == nil {
 		return nil, fmt.Errorf("ingest: model %s not resident and pool has no store", version)
 	}
-	m, ok, err := p.Store.Get(version)
+	m, ok, err := p.store.Get(version)
 	if err != nil {
 		return nil, fmt.Errorf("ingest: load model %s: %w", version, err)
 	}
@@ -254,23 +313,28 @@ func (p *SharedPool) load(version string) (*sharedEntry, error) {
 	return newSharedEntry(version, m, false), nil
 }
 
-// Release implements SinkFactory: the sink's monitor is reset and the sink
-// parked on its entry's idle list, and an unpinned entry whose last sink
-// just left is evicted along with its recycled sinks.
+// Release implements SinkFactory: each sink — both halves of a teed
+// session, each to its own entry — has its monitor reset and is parked on
+// its entry's idle list, and an unpinned entry whose last reference just
+// left is evicted along with its parked sinks.
 func (p *SharedPool) Release(s Sink) {
-	ss, ok := s.(*sharedSink)
-	if !ok {
-		return
+	switch s := s.(type) {
+	case *shadowSink:
+		p.Release(s.primary)
+		p.Release(s.shadow)
+	case *sharedSink:
+		s.fm.Reset()
+		p.checkin(s)
 	}
-	ss.fm.Reset()
-	maxIdle := p.MaxIdlePerModel
-	if maxIdle <= 0 {
-		maxIdle = 4
-	}
+}
+
+// checkin drops a sink's reference on its entry, parking the sink when it
+// has a monitor and the idle list has room. The monitor must be reset.
+func (p *SharedPool) checkin(ss *sharedSink) {
 	p.mu.Lock()
 	e := ss.entry
 	e.refs--
-	if len(e.idle) < maxIdle {
+	if ss.MonitorSink != nil && len(e.idle) < maxIdlePerModel {
 		e.idle = append(e.idle, ss)
 	}
 	p.evictLocked(e)
@@ -298,26 +362,22 @@ type sharedSink struct {
 // detector the session was pinned to.
 func (s *sharedSink) ModelVersion() string { return s.entry.version }
 
-// Restore rebuilds a journaled or migrated session's sink: it acquires a
+// Restore rebuilds a journaled or migrated session's sink: it checks out a
 // sink exactly as a live admission would — resolving the journaled model
 // version through the pool and validating the channel layout — then
-// overwrites the monitor with the journaled snapshot. A nil state (the
-// session crashed before its first snapshot) yields a fresh sink; the
-// client simply re-sends from the start.
+// overwrites the monitor with the journaled snapshot. It never tees: a
+// recovered or handed-off session runs primary-only, since candidate state
+// is never persisted. A nil state (the session crashed before its first
+// snapshot) yields a fresh sink; the client simply re-sends from the start.
 func (p *SharedPool) Restore(hello *Frame, state []byte) (Sink, error) {
-	s, err := p.Acquire(hello)
+	s, err := p.acquire(hello, false)
 	if err != nil {
 		return nil, err
 	}
 	if len(state) == 0 {
 		return s, nil
 	}
-	ss, ok := unwrapSink(s).(StatefulSink)
-	if !ok {
-		p.Release(s)
-		return nil, fmt.Errorf("ingest: pool sink cannot restore state")
-	}
-	if err := ss.RestoreState(state); err != nil {
+	if err := s.(*sharedSink).RestoreState(state); err != nil {
 		p.Release(s) // Release resets the monitor, clearing any partial apply
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"sync"
 
 	"nsync/internal/core"
 	"nsync/internal/scratch"
@@ -146,60 +145,4 @@ func (s *MonitorSink) RestoreState(state []byte) error {
 		return fmt.Errorf("ingest: restore state: %w", err)
 	}
 	return s.fm.RestoreState(&st)
-}
-
-// MonitorPool is a SinkFactory over recycled fused monitors: each Release
-// resets the sink's monitor (core guarantees a reset monitor matches a fresh
-// one) and parks the sink for the next session, so steady-state operation
-// allocates no new monitors or push scratch. It admits only sessions whose
-// channel layout and rate match the trained configuration.
-type MonitorPool struct {
-	// Build constructs a fresh fused monitor from the trained configuration.
-	Build func() (*core.FusedMonitor, error)
-	// Channels is the expected channel layout, in order.
-	Channels []ChannelSpec
-	// MaxIdle bounds how many reset monitors are kept (default 4).
-	MaxIdle int
-
-	mu   sync.Mutex
-	idle []*MonitorSink
-}
-
-// Acquire implements SinkFactory.
-func (p *MonitorPool) Acquire(hello *Frame) (Sink, error) {
-	if err := matchChannelSpecs(hello.Channels, p.Channels); err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	var ms *MonitorSink
-	if n := len(p.idle); n > 0 {
-		ms, p.idle = p.idle[n-1], p.idle[:n-1]
-	}
-	p.mu.Unlock()
-	if ms != nil {
-		return ms, nil
-	}
-	fm, err := p.Build()
-	if err != nil {
-		return nil, err
-	}
-	return NewMonitorSink(fm, p.Channels), nil
-}
-
-// Release implements SinkFactory.
-func (p *MonitorPool) Release(s Sink) {
-	ms, ok := s.(*MonitorSink)
-	if !ok {
-		return
-	}
-	ms.fm.Reset()
-	maxIdle := p.MaxIdle
-	if maxIdle <= 0 {
-		maxIdle = 4
-	}
-	p.mu.Lock()
-	if len(p.idle) < maxIdle {
-		p.idle = append(p.idle, ms)
-	}
-	p.mu.Unlock()
 }

@@ -18,7 +18,7 @@ import (
 // scratch.
 func TestMonitorSinkCycleAllocs(t *testing.T) {
 	fx := fixture(t)
-	pool := fx.pool(1)
+	pool := fx.pool(t, 1)
 	rng := rand.New(rand.NewSource(31))
 	type push struct {
 		ch     int
