@@ -49,6 +49,15 @@ func isMigratedReject(err error) bool {
 	return errors.As(err, &se) && strings.Contains(se.Msg, "migrated")
 }
 
+// endedError is a Verdict frame received in place of a HelloAck: a session
+// with this id already ended with that verdict. On a resume redial it is
+// this stream's (the reply to its Finish, or its drain, was lost) and
+// Replay returns it; on a fresh Hello it is an earlier print's, whose
+// worker is still exiting, and Replay retries.
+type endedError struct{ v *Verdict }
+
+func (e *endedError) Error() string { return "ingest: session already ended with a verdict" }
+
 // RedirectError is a Redirect frame received in place of a HelloAck: the
 // dialed peer is healthy but another peer owns the session. Replay follows
 // it; bare Dial callers see it as a typed error naming the owner.
@@ -131,6 +140,9 @@ func Dial(addr string, h Hello, timeout time.Duration) (*Client, error) {
 	case FrameRedirect:
 		conn.Close() //nolint:errcheck // already failing
 		return nil, &RedirectError{Addr: f.Addr, Peer: f.Peer}
+	case FrameVerdict:
+		conn.Close() //nolint:errcheck // the session is over
+		return nil, &endedError{v: f.Verdict}
 	case FrameError:
 		conn.Close() //nolint:errcheck // already failing
 		return nil, &ServerError{Msg: f.Message}
@@ -292,8 +304,9 @@ type replayFrame struct {
 // configured defects, then sends per-channel EOS (always declaring each
 // channel's full extent) and Finish, and returns the server's verdict.
 // Transient connection failures mid-stream reconnect and resume from the
-// server's committed counts; a ServerError aborts immediately.
-func Replay(addr string, h Hello, signals []*sigproc.Signal, opt ReplayOptions) (*Verdict, error) {
+// server's committed counts; a ServerError aborts immediately. A resume
+// redial that finds the session already ended returns its verdict.
+func Replay(addr string, h Hello, signals []*sigproc.Signal, opt ReplayOptions) (v *Verdict, err error) {
 	if len(signals) != len(h.Channels) {
 		return nil, fmt.Errorf("ingest: %d signals for %d channels", len(signals), len(h.Channels))
 	}
@@ -327,25 +340,36 @@ func Replay(addr string, h Hello, signals []*sigproc.Signal, opt ReplayOptions) 
 	// reconnect can out-race the server noticing the old connection died, and
 	// one backoff later the session is detached and ours again. So is
 	// "migrated": a draining peer handed our session to its successor, and
-	// the redial gets redirected there. Every other ServerError (quota, shed,
-	// layout) stays fatal.
+	// the redial gets redirected there. So is a verdict in place of the
+	// HelloAck of a dial that is not a resume: an earlier print that used
+	// this id has ended and is on its way out. Every other ServerError
+	// (quota, shed, layout) stays fatal.
 	//
 	// With Peers set, each attempt targets the session's jump-hash owner
 	// under this client's view of peer liveness — the same OwnerOf the
 	// servers use, so client failover and server redirects agree. A target
 	// that fails transiently is marked dead; Redirect replies steer (and
-	// stick, so reconnects return to the peer that holds the session); a
-	// redirect toward a peer we just found dead means the sender's health
-	// view lags ours — wait out a backoff step and recompute instead of
-	// bouncing into a refused connection.
+	// stick, so reconnects return to the peer that holds the session). A
+	// redirect toward a peer we just found dead, or straight back to the
+	// peer that issued the previous one, means two health views disagree for
+	// now — wait out a backoff step before following it instead of bouncing
+	// at network speed until the redirect budget is gone.
 	dials, refunded, redirects, stateLost := 0, 0, 0, 0
 	if opt.Stats != nil {
 		defer func() {
 			opt.Stats.Dials, opt.Stats.Redirects, opt.Stats.StateLost = dials, redirects, stateLost
 		}()
 	}
+	acked := false // a HelloAck arrived: a resume redial's ending is ours
+	defer func() {
+		var ended *endedError
+		if errors.As(err, &ended) && acked && h.ExpectResume {
+			v, err = ended.v, nil
+		}
+	}()
 	dead := make([]bool, len(opt.Peers))
 	redirected := "" // sticky preferred target: last redirect followed or dial that worked
+	bouncer := ""    // the peer that issued the last redirect
 	idxOf := func(a string) int {
 		for i, p := range opt.Peers {
 			if p == a {
@@ -394,8 +418,9 @@ func Replay(addr string, h Hello, signals []*sigproc.Signal, opt ReplayOptions) 
 						return true
 					}
 					var se *ServerError
+					var ended *endedError
 					return errors.As(err, &se) && strings.Contains(se.Msg, "already attached") ||
-						isMigratedReject(err)
+						isMigratedReject(err) || errors.As(err, &ended) && !(acked && h.ExpectResume)
 				},
 			}, func(context.Context) (*Client, error) {
 				dials++
@@ -421,12 +446,13 @@ func Replay(addr string, h Hello, signals []*sigproc.Signal, opt ReplayOptions) 
 					return nil, fmt.Errorf("ingest: redirect loop: session %s bounced %d times (max redirects %d), last toward %s",
 						h.SessionID, redirects, opt.MaxRedirects, re.Addr)
 				}
+				back := re.Addr == bouncer
+				redirected, bouncer = re.Addr, lastTarget
 				if i := idxOf(re.Addr); i >= 0 && dead[i] {
-					step := min(opt.DialBackoff*time.Duration(1<<uint(min(redirects, 16))), opt.DialBackoffMax)
-					time.Sleep(step)
 					redirected = ""
-				} else {
-					redirected = re.Addr
+				}
+				if redirected == "" || back {
+					time.Sleep(min(opt.DialBackoff*time.Duration(1<<uint(min(redirects, 16))), opt.DialBackoffMax))
 				}
 				continue
 			}
@@ -443,7 +469,7 @@ func Replay(addr string, h Hello, signals []*sigproc.Signal, opt ReplayOptions) 
 			}
 			// Future reconnects must claim retained state, and should return
 			// to the peer that holds it.
-			h.ExpectResume = true
+			h.ExpectResume, acked = true, true
 			redirected = lastTarget
 			return c, nil
 		}

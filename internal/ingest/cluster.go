@@ -530,20 +530,21 @@ func readModelChunks(br *bufio.Reader, version string) ([]byte, error) {
 
 // ---- Drain / handoff ----
 
-// HandoffSession is one session's serialized resume point plus the live
-// handle the drain terminates once its successor acks.
-type HandoffSession struct {
+// handoffSession is one captured session's serialized resume point plus
+// the live handle whose push outcome the drain reports back to it.
+type handoffSession struct {
 	RecoveredSession
 	sess *session
 }
 
 // HandoffAll drains this peer without a coordinator: it latches the peer
-// out of ownership (new Hellos redirect to survivors), serializes every
-// live session via its worker (falling back to the last durable journal
-// snapshot when a worker cannot reply), pushes each to its jump-hash
-// successor, and terminates the local copy only after the successor acks —
-// so a failed push degrades to the ordinary local drain, never to a lost
-// session. It returns how many sessions migrated and how many could not.
+// out of ownership (new Hellos redirect to survivors), captures and
+// serializes every live session via its worker (falling back to the last
+// durable journal snapshot when a worker cannot reply), pushes each to its
+// jump-hash successor, and ends the local copy as migrated only after the
+// successor acks — so a failed push returns the session to the ordinary
+// local drain, never to a lost session. It returns how many sessions
+// migrated and how many could not.
 func (c *Cluster) HandoffAll(ctx context.Context) (migrated, failed int) {
 	c.draining.Store(true)
 	// Announce the drain before touching a single session: the probe round
@@ -555,12 +556,12 @@ func (c *Cluster) HandoffAll(ctx context.Context) (migrated, failed int) {
 	if c.srv == nil {
 		return 0, 0
 	}
-	sessions := c.srv.ExportSessions(5 * time.Second)
-	byPeer := map[int][]HandoffSession{}
-	for _, hs := range sessions {
+	byPeer := map[int][]handoffSession{}
+	for _, hs := range c.srv.exportSessions(5 * time.Second) {
 		succ := c.OwnerFor(hs.SessionID)
 		if succ == c.cfg.PeerID || !c.alive[succ].Load() {
 			c.logf("cluster: session %s has no live successor", hs.SessionID)
+			hs.sess.step(event{kind: evRefuse})
 			failed++
 			continue
 		}
@@ -572,59 +573,53 @@ func (c *Cluster) HandoffAll(ctx context.Context) (migrated, failed int) {
 	}
 	sort.Ints(peers)
 	for _, p := range peers {
-		m, f := c.pushBatch(ctx, p, byPeer[p])
+		m := c.pushBatch(ctx, p, byPeer[p])
 		migrated += m
-		failed += f
+		failed += len(byPeer[p]) - m
 	}
 	return migrated, failed
 }
 
 // pushBatch hands one successor its share of the drain over a single
-// connection.
-func (c *Cluster) pushBatch(ctx context.Context, peer int, batch []HandoffSession) (ok, failed int) {
+// connection and resolves every capture: an ack migrates the session, a
+// refusal or a transport failure (which spends the rest of the batch)
+// returns it to the local drain. It returns how many the successor acked.
+func (c *Cluster) pushBatch(ctx context.Context, peer int, batch []handoffSession) (acked int) {
 	conn, err := net.DialTimeout("tcp", c.cfg.Peers[peer], c.cfg.ProbeTimeout)
 	if err != nil {
 		c.logf("cluster: handoff to peer %d (%s) failed: %v", peer, c.cfg.Peers[peer], err)
-		metHandoffFail.Add(int64(len(batch)))
-		return 0, len(batch)
+	} else {
+		defer conn.Close() //nolint:errcheck // handoff connection, best effort
 	}
-	defer conn.Close() //nolint:errcheck // handoff connection, best effort
 	br := bufio.NewReader(conn)
-	for i, hs := range batch {
-		if ctx.Err() != nil {
-			metHandoffFail.Add(int64(len(batch) - i))
-			return ok, failed + len(batch) - i
+	for _, hs := range batch {
+		refusal := ""
+		if err == nil {
+			err = ctx.Err()
 		}
-		refusal, err := c.pushOne(conn, br, hs)
-		if err != nil {
-			// Transport failure: the connection is unusable; the rest of the
-			// batch (and this session) drain locally instead.
-			c.logf("cluster: handoff %s to peer %d failed: %v", hs.SessionID, peer, err)
-			metHandoffFail.Add(int64(len(batch) - i))
-			return ok, failed + len(batch) - i
+		if err == nil {
+			if refusal, err = c.pushOne(conn, br, hs); err != nil {
+				c.logf("cluster: handoff %s to peer %d failed: %v", hs.SessionID, peer, err)
+			}
+		}
+		if err == nil && refusal == "" {
+			acked++
+			hs.sess.step(event{kind: evAck})
+			continue
 		}
 		if refusal != "" {
 			c.logf("cluster: handoff %s refused by peer %d: %s", hs.SessionID, peer, refusal)
-			metHandoffFail.Inc()
-			failed++
-			continue
 		}
-		metHandoffOut.Inc()
-		ok++
-		// The successor owns the session now. Terminating the local copy
-		// wakes the attached handler (if any), whose client sees the
-		// migration message, redials, and follows the redirect to the
-		// successor.
-		hs.sess.terminate("session migrated; reconnect")
-		hs.sess.wake()
+		metHandoffFail.Inc()
+		hs.sess.step(event{kind: evRefuse})
 	}
-	return ok, failed
+	return acked
 }
 
 // pushOne sends one Handoff frame and serves any ModelFetch the successor
 // issues before it acks. A non-empty refusal means the successor declined;
 // an error means the connection failed.
-func (c *Cluster) pushOne(conn net.Conn, br *bufio.Reader, hs HandoffSession) (refusal string, err error) {
+func (c *Cluster) pushOne(conn net.Conn, br *bufio.Reader, hs handoffSession) (refusal string, err error) {
 	conn.SetDeadline(time.Now().Add(peerIOTimeout)) //nolint:errcheck // net.Conn deadlines
 	hf := &Frame{
 		Type: FrameHandoff, SessionID: hs.SessionID, Priority: hs.Priority,

@@ -443,12 +443,7 @@ func TestServerShutdownDrains(t *testing.T) {
 		srv.mu.Lock()
 		s := srv.sessions["detached"]
 		srv.mu.Unlock()
-		if s == nil {
-			return false
-		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.conn == nil
+		return s != nil && s.current() == detached
 	})
 	if n := srv.SessionCount(); n != 2 {
 		t.Fatalf("SessionCount() = %d before drain, want 2", n)
@@ -483,11 +478,14 @@ func TestServerShutdownDrains(t *testing.T) {
 // racing a detach, in the one interleaving that used to hang: the handler
 // checked for a drain, Shutdown then found the session still attached and
 // only woke the handler, and the handler's torn read detached the session.
-// The detach must hand the session to the drain path instead of arming a
+// The detach must leave the session to the drain path instead of arming a
 // retention timer nobody would cancel, which left Shutdown waiting until
-// its context expired.
+// its context expired. The test plays the handler: once the drain has
+// landed it detaches and leaves through end, as pump does.
 func TestShutdownFlushesSessionDetachedMidDrain(t *testing.T) {
-	srv, err := NewServer(Config{Factory: &countFactory{}, ReadTimeout: 10 * time.Second, Retention: time.Hour})
+	sink := newGateSink() // holds the drain's Finish until the handler has left
+	t.Cleanup(sink.open)
+	srv, err := NewServer(Config{Factory: gateFactory{sink}, ReadTimeout: 10 * time.Second, Retention: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,26 +495,33 @@ func TestShutdownFlushesSessionDetachedMidDrain(t *testing.T) {
 		t.Fatal(reject)
 	}
 	conn, peer := net.Pipe()
-	defer peer.Close()
+	peer.Close() // the client is gone; the verdict write fails fast
 	defer conn.Close()
-	if err := s.attach(conn); err != nil {
-		t.Fatal(err)
+	if _, ok := s.step(event{kind: evAttach, conn: conn}); !ok {
+		t.Fatal("attach refused")
 	}
 	// The drain starts and sees the session attached; an expired context
-	// makes Shutdown return right after that look instead of waiting.
+	// makes Shutdown return without waiting for the session to end.
 	expired, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := srv.Shutdown(expired); !errors.Is(err, context.Canceled) {
 		t.Fatalf("shutdown with an expired context: %v", err)
 	}
-	s.detach(srv.cfg.Retention)
+	waitFor(t, 5*time.Second, func() bool { return s.current() != attached })
+	ph, _ := s.step(event{kind: evDetach})
+	ended := make(chan struct{})
+	go func() {
+		srv.end(conn, s, ph)
+		close(ended)
+	}()
+	sink.open()
 	select {
-	case <-s.done:
+	case <-ended:
 	case <-time.After(5 * time.Second):
 		t.Fatal("session detached mid-drain was never flushed")
 	}
-	if s.terminated() {
-		t.Fatalf("session ended by termination (%s), want drained", s.terminationMessage())
+	if got := s.current(); got != drained {
+		t.Fatalf("session ended %v (%q), want drained", got, s.reason)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

@@ -38,39 +38,18 @@ func (srv *Server) recoverOne(rs RecoveredSession, pool *SharedPool) bool {
 		Type: FrameHello, SessionID: rs.SessionID, Priority: rs.Priority,
 		Channels: rs.Channels, Tenant: rs.Tenant, Model: rs.Model,
 	}
-	srv.mu.Lock()
-	if srv.draining {
-		srv.mu.Unlock()
-		return skip("server draining")
-	}
-	if _, ok := srv.sessions[rs.SessionID]; ok {
-		srv.mu.Unlock()
-		return skip("session id already active")
-	}
+	// A draining server or an id already active here is a skip too, found
+	// by install once the sink is restored. Every skip after the tenant
+	// reservation releases it (and the sink, once restored), so none holds
+	// a slot until retention expiry.
+	// TestRecoverRestoreFailureReleasesReservation pins this.
 	tn, quotaReject := srv.tenants.reserve(rs.Tenant)
 	if quotaReject != "" {
-		srv.mu.Unlock()
 		return skip("%s", quotaReject)
-	}
-	srv.pending++
-	srv.mu.Unlock()
-
-	// rollback undoes the reservation taken above — pending slot, sink (when
-	// one was acquired), tenant reservation — in one place, so no skip path
-	// between here and commit can hold a tenant slot until retention expiry.
-	// TestRecoverRestoreFailureReleasesReservation pins this.
-	rollback := func(sink Sink) {
-		srv.mu.Lock()
-		srv.pending--
-		srv.mu.Unlock()
-		if sink != nil {
-			pool.Release(sink)
-		}
-		srv.tenants.release(tn, false)
 	}
 	sink, err := pool.Restore(hello, rs.State)
 	if err != nil {
-		rollback(nil)
+		srv.tenants.release(tn, false)
 		return skip("%v", err)
 	}
 	s := newSession(srv, hello, sink, tn)
@@ -81,30 +60,15 @@ func (srv *Server) recoverOne(rs RecoveredSession, pool *SharedPool) bool {
 			s.committed[i].Store(c)
 		}
 	}
-
-	srv.mu.Lock()
-	if srv.draining {
-		srv.mu.Unlock()
-		rollback(sink)
-		return skip("server draining")
+	if reject := srv.install(s, false); reject != "" {
+		return skip("%s", reject)
 	}
-	if _, ok := srv.sessions[rs.SessionID]; ok {
-		srv.mu.Unlock()
-		rollback(sink)
-		return skip("session id already active")
-	}
-	srv.pending--
-	srv.sessions[rs.SessionID] = s
-	srv.tenants.commit(tn)
-	srv.wg.Add(1)
-	srv.mu.Unlock()
-	metActive.Add(1)
 	metRecovered.Inc()
 	srv.logf("session %s: recovered from journal (tenant %q, model %q, committed %v, %d-byte state)",
 		s.id, rs.Tenant, rs.Model, rs.Committed, len(rs.State))
 	go s.run()
 	// Detached from birth: the retention countdown starts now, exactly as if
 	// the client's connection had just dropped.
-	s.detach(srv.cfg.Retention)
+	s.step(event{kind: evDetach})
 	return true
 }

@@ -94,7 +94,6 @@ type Server struct {
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{}
 	sessions  map[string]*session
-	pending   int // admissions in flight: slot reserved, factory acquire running
 	draining  bool
 
 	wg sync.WaitGroup // one count per live session
@@ -150,44 +149,24 @@ func (srv *Server) Serve(l net.Listener) error {
 	}
 }
 
-// Shutdown drains the server: listeners close (Serve returns), attached
-// handlers are woken to stop reading and flush, detached sessions are
-// flushed directly, and every session's final verdict is produced before
-// Shutdown returns. The context bounds the wait.
+// Shutdown drains the server: listeners close (Serve returns), every live
+// session gets a drain event, which queues the drain command and wakes an
+// attached session's handler to deliver the verdict, and every session ends
+// before Shutdown returns. The context bounds the whole drain, including a
+// drain event that waits for a captured session's handoff to resolve.
 func (srv *Server) Shutdown(ctx context.Context) error {
 	srv.mu.Lock()
 	srv.draining = true
-	ls := make([]net.Listener, 0, len(srv.listeners))
 	for l := range srv.listeners {
-		ls = append(ls, l)
-	}
-	sessions := make([]*session, 0, len(srv.sessions))
-	for _, s := range srv.sessions {
-		sessions = append(sessions, s)
+		l.Close() //nolint:errcheck // shutdown path; Serve removes it
 	}
 	srv.mu.Unlock()
-	for _, l := range ls {
-		l.Close() //nolint:errcheck // shutdown path
-	}
-	for _, s := range sessions {
-		s.mu.Lock()
-		attached := s.conn != nil
-		if s.retention != nil {
-			s.retention.Stop()
-			s.retention = nil
-		}
-		s.mu.Unlock()
-		if attached {
-			// The handler owns the connection: wake its blocking read; it
-			// sees draining, flushes, and writes the verdict itself.
-			s.wake()
-		} else {
-			// No handler: flush directly so the session still completes.
-			s.drainDetached()
-		}
-	}
 	done := make(chan struct{})
 	go func() {
+		// The latch is set, so no session joins the map after this list.
+		for _, s := range srv.sessionList() {
+			s.step(event{kind: evDrain})
+		}
 		srv.wg.Wait()
 		close(done)
 	}()
@@ -197,6 +176,18 @@ func (srv *Server) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
+}
+
+// sessionList returns the sessions in the map, in id order.
+func (srv *Server) sessionList() []*session {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	out := make([]*session, 0, len(srv.sessions))
+	for _, s := range srv.sessions {
+		out = append(out, s)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	return out
 }
 
 // SessionCount returns how many sessions are live (attached or retained).
@@ -238,14 +229,18 @@ func (srv *Server) handle(conn net.Conn) {
 		srv.writeError(conn, reject)
 		return
 	}
-	if err := srv.attachWithGrace(s, conn); err != nil {
+	if !srv.attachWithGrace(s, conn) {
+		if f := s.ending(false); f != nil {
+			srv.write(conn, f) //nolint:errcheck // client may be gone
+			return
+		}
 		metRejected.Inc()
 		srv.writeError(conn, "session already attached")
 		return
 	}
-	conn.SetWriteDeadline(time.Now().Add(srv.cfg.ReadTimeout)) //nolint:errcheck // net.Conn deadlines
-	if err := WriteFrame(conn, &Frame{Type: FrameHelloAck, Committed: s.committedSnapshot()}); err != nil {
-		s.detach(srv.cfg.Retention)
+	if err := srv.write(conn, &Frame{Type: FrameHelloAck, Committed: s.committedSnapshot()}); err != nil {
+		ph, _ := s.step(event{kind: evDetach})
+		srv.end(conn, s, ph)
 		return
 	}
 	srv.logf("session %s: attached (priority %d, %d channels)", s.id, s.priority, len(s.reseq))
@@ -253,7 +248,7 @@ func (srv *Server) handle(conn net.Conn) {
 }
 
 // redirect answers a Hello owned by another peer with a Redirect frame and
-// reports whether it did. Sessions retained locally are always served here,
+// reports whether it did. Sessions live here are always served here,
 // whatever the hash says (see Cluster.RedirectFor).
 func (srv *Server) redirect(conn net.Conn, hello *Frame) bool {
 	cl := srv.cfg.Cluster
@@ -266,142 +261,126 @@ func (srv *Server) redirect(conn net.Conn, hello *Frame) bool {
 	}
 	metRedirects.Inc()
 	srv.logf("session %s: redirected to peer %d (%s)", hello.SessionID, peer, addr)
-	conn.SetWriteDeadline(time.Now().Add(srv.cfg.ReadTimeout))            //nolint:errcheck // net.Conn deadlines
-	WriteFrame(conn, &Frame{Type: FrameRedirect, Addr: addr, Peer: peer}) //nolint:errcheck // client may be gone
+	srv.write(conn, &Frame{Type: FrameRedirect, Addr: addr, Peer: peer}) //nolint:errcheck // client may be gone
 	return true
 }
 
-// hasSession reports whether the session is live here (attached or retained).
+// hasSession reports whether the session is live here: a migrated one whose
+// worker is still exiting is not, so its redial follows ownership.
 func (srv *Server) hasSession(id string) bool {
 	srv.mu.Lock()
-	defer srv.mu.Unlock()
-	_, ok := srv.sessions[id]
-	return ok
+	s, ok := srv.sessions[id]
+	srv.mu.Unlock()
+	return ok && !s.current().ended()
 }
 
 // attachWithGrace binds conn to the session, briefly retrying while the
 // previous handler notices its dead connection. A reconnecting client can
 // beat the server's EOF on the old connection by a scheduling quantum; that
-// race should resume the session, not reject it.
-func (srv *Server) attachWithGrace(s *session, conn net.Conn) error {
+// race should resume the session, not reject it. It reports false when the
+// session ends first or the grace period runs out.
+func (srv *Server) attachWithGrace(s *session, conn net.Conn) bool {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		err := s.attach(conn)
-		if err == nil || time.Now().After(deadline) {
-			return err
+		ph, ok := s.step(event{kind: evAttach, conn: conn})
+		if ok || ph.ended() || time.Now().After(deadline) {
+			return ok
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 }
 
-// pump is the handler read loop for an attached session.
+// pump is the handler read loop for an attached session. It reads until
+// the session stops being attached (or captured), then ends it.
 func (srv *Server) pump(conn net.Conn, br *bufio.Reader, s *session) {
 	for {
-		if s.terminated() {
-			srv.writeError(conn, s.terminationMessage())
-			return
-		}
-		if srv.isDraining() {
-			srv.drainSession(conn, s)
-			return
-		}
+		// Arm the deadline before looking at the phase: a transition after
+		// the look wakes the read by moving the deadline to now.
 		conn.SetReadDeadline(time.Now().Add(srv.cfg.ReadTimeout)) //nolint:errcheck // net.Conn deadlines
+		if ph := s.current(); ph != attached && ph != captured {
+			srv.end(conn, s, ph)
+			return
+		}
 		f, err := ReadFrame(br)
 		if err != nil {
-			srv.readFailed(conn, s, err)
+			srv.end(conn, s, srv.readFailed(conn, s, err))
 			return
 		}
 		metFrames.Inc()
 		switch f.Type {
 		case FrameData, FrameEOS:
-			if err := s.enqueue(queued{f: f}, srv.cfg.EnqueueTimeout); err != nil {
-				if errors.Is(err, errStalled) {
-					s.terminate("session queue stalled; evicted")
-					metEvicted.Inc()
+			// A terminated session's error shows at the next look.
+			err := s.enqueue(queued{f: f}, srv.cfg.EnqueueTimeout)
+			if errors.Is(err, errStalled) {
+				if _, ok := s.step(event{kind: evEvict, reason: "session queue stalled; evicted"}); ok {
 					srv.logf("session %s: evicted (queue stalled)", s.id)
 				}
-				srv.writeError(conn, s.terminationMessage())
-				return
+			} else if err == nil {
+				srv.shedIfOverloaded()
 			}
-			srv.shedIfOverloaded()
 		case FrameFinish:
-			if err := s.enqueue(queued{reason: "finished"}, srv.cfg.EnqueueTimeout); err != nil {
-				srv.writeError(conn, s.terminationMessage())
-				return
-			}
-			srv.deliverOutcome(conn, s)
+			ph, _ := s.step(event{kind: evFinish})
+			srv.end(conn, s, ph)
 			return
 		default:
 			metMalformed.Inc()
 			srv.writeError(conn, fmt.Sprintf("unexpected %v frame", f.Type))
-			s.detach(srv.cfg.Retention)
+			ph, _ := s.step(event{kind: evDetach})
+			srv.end(conn, s, ph)
 			return
 		}
 	}
 }
 
-// readFailed classifies a read-loop failure and routes it: wake-ups land in
-// the drain/termination paths, idle timeouts evict, malformed framing and
-// torn streams detach the session so the client can reconnect and resume.
-func (srv *Server) readFailed(conn net.Conn, s *session, err error) {
+// readFailed classifies a read-loop failure into a lifecycle event and
+// returns the phase it leaves: a timeout is either a wake (the phase has
+// moved on, and eviction leaves it be) or a silent client to evict;
+// malformed framing and torn streams detach the session so the client can
+// reconnect and resume.
+func (srv *Server) readFailed(conn net.Conn, s *session, err error) phase {
 	var ne net.Error
-	timeout := errors.As(err, &ne) && ne.Timeout()
 	switch {
-	case s.terminated():
-		srv.writeError(conn, s.terminationMessage())
-	case srv.isDraining():
-		srv.drainSession(conn, s)
-	case timeout:
-		s.terminate("read timeout; session evicted")
-		metEvicted.Inc()
-		srv.logf("session %s: evicted (read timeout)", s.id)
-		srv.writeError(conn, s.terminationMessage())
+	case errors.As(err, &ne) && ne.Timeout():
+		ph, ok := s.step(event{kind: evEvict, reason: "read timeout; session evicted"})
+		if ok {
+			srv.logf("session %s: evicted (read timeout)", s.id)
+		}
+		return ph
 	case errors.Is(err, ErrMalformed):
 		metMalformed.Inc()
 		srv.logf("session %s: malformed frame: %v", s.id, err)
 		srv.writeError(conn, fmt.Sprintf("malformed frame: %v", err))
-		s.detach(srv.cfg.Retention)
 	default:
 		// Torn stream or peer gone: retain the session for resume.
 		srv.logf("session %s: detached (%v)", s.id, err)
-		s.detach(srv.cfg.Retention)
+	}
+	ph, _ := s.step(event{kind: evDetach})
+	return ph
+}
+
+// end is how a handler leaves a session it stopped reading: it waits for
+// the ending and writes it. A detached or captured session waits for a
+// client or for its handoff instead.
+func (srv *Server) end(conn net.Conn, s *session, ph phase) {
+	if ph == detached || ph == captured {
+		return
+	}
+	f := s.ending(true)
+	srv.write(conn, f) //nolint:errcheck // client may be gone
+	if v := f.Verdict; v != nil {
+		srv.logf("session %s: %s (intrusion=%v)", s.id, v.Reason, v.Intrusion)
 	}
 }
 
-// drainSession flushes one attached session during shutdown and writes its
-// final verdict to the still-connected client.
-func (srv *Server) drainSession(conn net.Conn, s *session) {
-	if err := s.enqueue(queued{reason: "drained"}, 0); err != nil {
-		srv.writeError(conn, s.terminationMessage())
-		return
-	}
-	metDrained.Inc()
-	srv.deliverOutcome(conn, s)
-	srv.logf("session %s: drained", s.id)
-}
-
-// deliverOutcome waits for the worker's terminal outcome and reports it.
-func (srv *Server) deliverOutcome(conn net.Conn, s *session) {
-	out := <-s.outcomeCh
-	if out.err != nil {
-		srv.writeError(conn, fmt.Sprintf("session failed: %v", out.err))
-		return
-	}
-	metCompleted.Inc()
-	conn.SetWriteDeadline(time.Now().Add(srv.cfg.ReadTimeout))   //nolint:errcheck // net.Conn deadlines
-	WriteFrame(conn, &Frame{Type: FrameVerdict, Verdict: out.v}) //nolint:errcheck // client may be gone
-	srv.logf("session %s: %s (intrusion=%v)", s.id, out.v.Reason, out.v.Intrusion)
+// write sends one frame under a ReadTimeout write deadline, so a client
+// that stops reading cannot pin the handler.
+func (srv *Server) write(conn net.Conn, f *Frame) error {
+	conn.SetWriteDeadline(time.Now().Add(srv.cfg.ReadTimeout)) //nolint:errcheck // net.Conn deadlines
+	return WriteFrame(conn, f)
 }
 
 func (srv *Server) writeError(conn net.Conn, msg string) {
-	conn.SetWriteDeadline(time.Now().Add(srv.cfg.ReadTimeout)) //nolint:errcheck // net.Conn deadlines
-	WriteFrame(conn, &Frame{Type: FrameError, Message: msg})   //nolint:errcheck // best-effort report
-}
-
-func (srv *Server) isDraining() bool {
-	srv.mu.Lock()
-	defer srv.mu.Unlock()
-	return srv.draining
+	srv.write(conn, &Frame{Type: FrameError, Message: msg}) //nolint:errcheck // best-effort report
 }
 
 // admit decides a Hello's fate: resume a retained session, reject under
@@ -412,25 +391,20 @@ func (srv *Server) isDraining() bool {
 // srv.mu around it. That gap is exactly where a concurrent Hello burst used
 // to over-admit: every handler observed depth below the watermark and a
 // tenant below its quota, then all of them sailed through. Admission now
-// reserves a slot under the lock first — srv.pending plus a tenant
-// reservation, both released on any reject path — and re-checks the
-// watermark after the acquire, so a burst can neither exceed a tenant's
-// session quota nor land sessions on a server that saturated while the
-// acquires were in flight.
+// reserves a tenant slot under the lock first, released on any reject
+// path, and install re-checks the watermark after the acquire, so a burst
+// can neither exceed a tenant's session quota nor land sessions on a server
+// that saturated while the acquires were in flight.
 func (srv *Server) admit(hello *Frame) (*session, string) {
 	srv.mu.Lock()
-	if srv.draining {
+	if s, ok := srv.sessions[hello.SessionID]; ok || srv.draining {
+		draining := srv.draining
 		srv.mu.Unlock()
-		metRejected.Inc()
-		return nil, "server draining"
-	}
-	if s, ok := srv.sessions[hello.SessionID]; ok {
-		srv.mu.Unlock()
-		if s.terminated() {
+		if !ok {
 			metRejected.Inc()
-			return nil, s.terminationMessage()
+			return nil, "server draining"
 		}
-		return srv.resume(hello, s)
+		return srv.resume(hello, s, draining)
 	}
 	if hello.Flags&HelloFlagExpectResume != 0 {
 		// The client believes it has server-side state (it resumed or was
@@ -457,58 +431,53 @@ func (srv *Server) admit(hello *Frame) (*session, string) {
 		metRejected.Inc()
 		return nil, quotaReject
 	}
-	srv.pending++
 	srv.mu.Unlock()
 
-	reject := func(msg string) (*session, string) {
-		srv.mu.Lock()
-		srv.pending--
-		srv.mu.Unlock()
-		srv.tenants.release(tn, false)
-		metRejected.Inc()
-		return nil, msg
-	}
 	sink, err := srv.cfg.Factory.Acquire(hello)
 	if err != nil {
-		return reject(err.Error())
+		srv.tenants.release(tn, false)
+		metRejected.Inc()
+		return nil, err.Error()
 	}
 	s := newSession(srv, hello, sink, tn)
-
-	srv.mu.Lock()
-	srv.pending--
-	if srv.draining {
-		srv.mu.Unlock()
-		srv.cfg.Factory.Release(sink)
-		srv.tenants.release(tn, false)
+	if reject := srv.install(s, true); reject != "" {
 		metRejected.Inc()
-		return nil, "server draining"
+		return nil, reject
 	}
-	if _, ok := srv.sessions[hello.SessionID]; ok {
-		srv.mu.Unlock()
-		srv.cfg.Factory.Release(sink)
-		srv.tenants.release(tn, false)
-		metRejected.Inc()
-		return nil, "session id already active"
-	}
-	// Re-check the watermark: depth may have crossed it while the factory
-	// acquire ran outside the lock.
-	if int(srv.depth.Load()) >= srv.cfg.ShedWatermark {
-		srv.mu.Unlock()
-		srv.cfg.Factory.Release(sink)
-		srv.tenants.release(tn, false)
-		metShed.Inc()
-		metRejected.Inc()
-		return nil, "server overloaded; session shed"
-	}
-	srv.sessions[hello.SessionID] = s
-	srv.tenants.commit(tn)
-	srv.wg.Add(1)
-	srv.mu.Unlock()
 	metAccepted.Inc()
-	metActive.Add(1)
-	srv.journalAdmit(s)
+	srv.journalAdmit(s) // before the worker, whose exit journals Finish
 	go s.run()
 	return s, ""
+}
+
+// install registers a session whose sink was acquired outside srv.mu; the
+// caller starts its worker. It rejects instead, releasing the sink and the
+// tenant reservation, if the server began draining or the id became active
+// meanwhile, or, with overload, if the queues crossed the watermark.
+func (srv *Server) install(s *session, overload bool) string {
+	srv.mu.Lock()
+	reject := ""
+	switch {
+	case srv.draining:
+		reject = "server draining"
+	case srv.sessions[s.id] != nil:
+		reject = "session id already active"
+	case overload && int(srv.depth.Load()) >= srv.cfg.ShedWatermark:
+		metShed.Inc()
+		reject = "server overloaded; session shed"
+	}
+	if reject != "" {
+		srv.mu.Unlock()
+		s.origin.Release(s.sink)
+		srv.tenants.release(s.tenant, false)
+		return reject
+	}
+	srv.sessions[s.id] = s
+	srv.tenants.commit(s.tenant)
+	srv.wg.Add(1)
+	srv.mu.Unlock()
+	metActive.Add(1)
+	return ""
 }
 
 // journalAdmit records a freshly admitted session's identity, including the
@@ -522,24 +491,20 @@ func (srv *Server) journalAdmit(s *session) {
 	j.Admit(s.id, s.tenantID, s.modelVersion(), s.priority, s.specs)
 }
 
-// ExportSessions serializes every live session's resume point for a drain:
-// each worker is asked for a consistent capture (committed counts + monitor
-// state at one instant); a worker that cannot reply within timeout falls
-// back to the session's last durable journal snapshot — stale but
-// migratable — and is skipped only when neither exists. Sessions whose sink
-// holds no serializable state migrate with zeroed commit points: the client
-// rewinds to frame 0 and resends, so the successor's fresh detector sees
-// the whole stream and the verdict stays correct (this deliberately differs
-// from the journal's keep-committed policy, which only has to survive a
-// restart of the same process with the same sink).
-func (srv *Server) ExportSessions(timeout time.Duration) []HandoffSession {
-	srv.mu.Lock()
-	sessions := make([]*session, 0, len(srv.sessions))
-	for _, s := range srv.sessions {
-		sessions = append(sessions, s)
-	}
-	srv.mu.Unlock()
-	sort.Slice(sessions, func(i, j int) bool { return sessions[i].id < sessions[j].id })
+// exportSessions captures every live session for a drain and serializes its
+// resume point: each worker is asked for a consistent capture (committed
+// counts + monitor state at one instant); a worker that cannot reply within
+// timeout falls back to the session's last durable journal snapshot — stale
+// but migratable. A session that has ended, or is ending here, is never
+// captured, so never exported. The caller resolves each exported session
+// with evAck or evRefuse. Sessions whose sink holds no serializable state
+// migrate with zeroed commit points: the client rewinds to frame 0 and
+// resends, so the successor's fresh detector sees the whole stream and the
+// verdict stays correct (this deliberately differs from the journal's
+// keep-committed policy, which only has to survive a restart of the same
+// process with the same sink).
+func (srv *Server) exportSessions(timeout time.Duration) []handoffSession {
+	sessions := srv.sessionList()
 	// One journal pass up front: ExportLive snapshots the live-session set
 	// under the journal's rotation lock, so a concurrent rotation cannot
 	// yank a segment out from under the per-session fallback reads below.
@@ -549,18 +514,19 @@ func (srv *Server) ExportSessions(timeout time.Duration) []HandoffSession {
 			fallback[rs.SessionID] = rs
 		}
 	}
-	var out []HandoffSession
+	var out []handoffSession
 	for _, s := range sessions {
-		if s.terminated() {
+		if _, ok := s.step(event{kind: evCapture}); !ok {
 			continue
 		}
 		cap, err := s.exportState(timeout)
 		if err != nil {
 			if rs, ok := fallback[s.id]; ok {
 				srv.logf("session %s: live capture failed (%v); exporting last journal snapshot", s.id, err)
-				out = append(out, HandoffSession{RecoveredSession: rs, sess: s})
+				out = append(out, handoffSession{RecoveredSession: rs, sess: s})
 			} else {
 				srv.logf("session %s: export failed (%v), no journal fallback; draining locally", s.id, err)
+				s.step(event{kind: evRefuse})
 			}
 			continue
 		}
@@ -582,7 +548,7 @@ func (srv *Server) ExportSessions(timeout time.Duration) []HandoffSession {
 			rs.State = nil
 			rs.Committed = make([]uint64, len(rs.Channels))
 		}
-		out = append(out, HandoffSession{RecoveredSession: rs, sess: s})
+		out = append(out, handoffSession{RecoveredSession: rs, sess: s})
 	}
 	return out
 }
@@ -591,8 +557,10 @@ func (srv *Server) ExportSessions(timeout time.Duration) []HandoffSession {
 // channel layout must match name by name, in order: a Hello with the same
 // channel *count* but different names, lane counts, or rates would feed
 // lanes into the wrong resequencers and produce a verdict about the wrong
-// signals — reject it instead.
-func (srv *Server) resume(hello *Frame, s *session) (*session, string) {
+// signals — reject it instead. Only a Hello that passes may learn how an
+// ended session ended, and that ending comes before the drain latch: the
+// attach fails and the handler answers with it (see handle).
+func (srv *Server) resume(hello *Frame, s *session, draining bool) (*session, string) {
 	if len(hello.Channels) != len(s.specs) {
 		metRejected.Inc()
 		return nil, "resume hello channel layout mismatch"
@@ -609,6 +577,13 @@ func (srv *Server) resume(hello *Frame, s *session) (*session, string) {
 		metRejected.Inc()
 		return nil, fmt.Sprintf("resume hello tenant mismatch: %q, session belongs to %q", hello.Tenant, s.tenantID)
 	}
+	switch {
+	case s.current().ended():
+		return s, ""
+	case draining:
+		metRejected.Inc()
+		return nil, "server draining"
+	}
 	metResumed.Inc()
 	srv.logf("session %s: resumed", s.id)
 	return s, ""
@@ -622,14 +597,12 @@ func (srv *Server) shedIfOverloaded() {
 	if int(srv.depth.Load()) < srv.cfg.ShedWatermark {
 		return
 	}
-	srv.mu.Lock()
 	var victims []*session
-	for _, s := range srv.sessions {
-		if !s.terminated() {
+	for _, s := range srv.sessionList() {
+		if !s.current().ended() {
 			victims = append(victims, s)
 		}
 	}
-	srv.mu.Unlock()
 	// With one session left there is nothing lower-priority to sacrifice for
 	// it: the bounded queue already throttles it through TCP backpressure,
 	// and admission control keeps new sessions out until depth falls.
@@ -643,27 +616,17 @@ func (srv *Server) shedIfOverloaded() {
 		return victims[i].id < victims[j].id
 	})
 	v := victims[0]
-	v.terminate("shed: server overloaded")
-	metShed.Inc()
-	srv.logf("session %s: shed (priority %d, depth %d)", v.id, v.priority, srv.depth.Load())
-	v.wake()
+	if _, ok := v.step(event{kind: evShed, reason: "shed: server overloaded"}); ok {
+		srv.logf("session %s: shed (priority %d, depth %d)", v.id, v.priority, srv.depth.Load())
+	}
 }
 
-// removeSession is called exactly once, by the session worker on exit.
+// removeSession is called exactly once, by the session worker on exit,
+// after the session has reached its terminal phase.
 func (srv *Server) removeSession(s *session) {
 	srv.mu.Lock()
 	delete(srv.sessions, s.id)
 	srv.mu.Unlock()
-	s.mu.Lock()
-	if s.retention != nil {
-		s.retention.Stop()
-		s.retention = nil
-	}
-	if s.isDetached {
-		s.isDetached = false
-		metDetached.Add(-1)
-	}
-	s.mu.Unlock()
 	// The sink goes back to the factory that created it — for a recovered
 	// session that is the pool it was restored from, not the server's own
 	// factory.

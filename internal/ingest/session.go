@@ -29,6 +29,7 @@ var (
 	metCompleted = obs.GetCounter("session.completed")
 	metDrained   = obs.GetCounter("session.drained")
 	metEvicted   = obs.GetCounter("session.evicted")
+	metFailed    = obs.GetCounter("session.failed")
 	metResumed   = obs.GetCounter("session.resumed")
 	metTenantRej = obs.GetCounter("ingest.tenant_rejected")
 )
@@ -44,22 +45,15 @@ type queued struct {
 	// between frames, is what makes the committed counts and the monitor
 	// state describe the same instant — the same guarantee journal snapshots
 	// rely on.
-	capture chan captured
+	capture chan captureReply
 }
 
-// captured is the worker's reply to a capture command: the per-channel
+// captureReply is the worker's reply to a capture command: the per-channel
 // committed counts and the monitor state at one consistent instant.
-type captured struct {
+type captureReply struct {
 	committed []uint64
 	state     []byte
 	err       error
-}
-
-// outcome is the worker's single terminal output: the final verdict, or the
-// error that killed the session.
-type outcome struct {
-	v   *Verdict
-	err error
 }
 
 var (
@@ -67,11 +61,61 @@ var (
 	errTerminated = errors.New("ingest: session terminated")
 )
 
+// migratedMsg is the retryable rejection a migrated session's client gets:
+// it redials, and ownership or a redirect steers it to the successor.
+const migratedMsg = "session migrated; reconnect"
+
+// phase is a session's lifecycle state (DESIGN.md §12). A session moves
+// among the live phases and reaches exactly one terminal phase, which alone
+// decides what its client sees.
+type phase uint8
+
+const (
+	attached   phase = iota // a handler owns the session; conn is nil until it binds
+	detached                // no handler; the retention timer runs
+	captured                // a drain exported the session; its handoff push is unresolved
+	finishing               // the client's Finish is queued
+	draining                // a server drain is queued
+	finished                // terminal: the Finish verdict
+	drained                 // terminal: the drain verdict
+	migrated                // terminal: the successor acked the handoff
+	terminated              // terminal: shed, evicted, expired or failed, as reason says
+)
+
+func (p phase) ended() bool { return p >= finished }
+
+// eventKind names a lifecycle event. apply, called through step, is the
+// only code that acts on one.
+type eventKind uint8
+
+const (
+	evAttach  eventKind = iota // a Hello's connection binds (event.conn)
+	evDetach                   // the handler lost its connection
+	evFinish                   // the client sent Finish
+	evDrain                    // Server.Shutdown
+	evCapture                  // a drain exports the session for handoff
+	evAck                      // the successor acked the handoff
+	evRefuse                   // the handoff push was refused or failed
+	evExpire                   // the retention timer fired
+	evShed                     // overload shedding picked the session (event.reason)
+	evEvict                    // read timeout or stalled queue (event.reason)
+	evFail                     // the worker failed (event.reason)
+	evVerdict                  // the worker produced the final verdict (event.verdict)
+)
+
+type event struct {
+	kind    eventKind
+	conn    net.Conn
+	reason  string
+	verdict *Verdict
+}
+
 // session is one print stream's server-side state. Frames flow
 // handler → bounded queue → worker → resequencer → sink; the bounded queue
 // is the backpressure point (a full queue blocks the handler, which stops
 // reading, which fills the TCP window). The handler goroutine owns all
-// connection writes; the worker owns the resequencers and the sink.
+// connection writes; the worker owns the resequencers and the sink. The
+// lifecycle fields below s.mu change only in step.
 type session struct {
 	id       string
 	priority int
@@ -92,26 +136,16 @@ type session struct {
 	// build a HelloAck while the worker is mid-push.
 	committed []atomic.Uint64
 
-	// frames counts consumed frames; every cfg.SnapshotEveryFrames of them
-	// the worker journals a snapshot. Worker-owned, no locking.
-	frames int
-
-	queue     chan queued
-	outcomeCh chan outcome  // buffered 1; worker sends exactly once
-	quit      chan struct{} // closed by terminate
-	done      chan struct{} // closed when the worker exits
-	termOnce  sync.Once
-	termMsg   atomic.Pointer[string]
+	queue chan queued
+	quit  chan struct{} // closed when the session reaches a terminal phase
 
 	mu        sync.Mutex
-	conn      net.Conn // attached connection; nil while detached
-	retention *time.Timer
-	// isDetached tracks the session.detached gauge edge (set on detach,
-	// cleared on attach or removal).
-	isDetached bool
-	// drainOnce guards drainDetached: Shutdown and a handler detaching
-	// mid-drain may both hand the session to the drain path.
-	drainOnce sync.Once
+	changed   sync.Cond // on mu; broadcast on every phase change
+	phase     phase
+	conn      net.Conn    // the handler's connection, woken by an ending
+	retention *time.Timer // armed while detached
+	reason    string      // terminated: the client-visible message
+	verdict   *Verdict    // finished, drained: the final verdict
 }
 
 func newSession(srv *Server, hello *Frame, sink Sink, tn *tenant) *session {
@@ -127,32 +161,151 @@ func newSession(srv *Server, hello *Frame, sink Sink, tn *tenant) *session {
 		reseq:     make([]*Resequencer, len(hello.Channels)),
 		committed: make([]atomic.Uint64, len(hello.Channels)),
 		queue:     make(chan queued, srv.cfg.QueueDepth),
-		outcomeCh: make(chan outcome, 1),
 		quit:      make(chan struct{}),
-		done:      make(chan struct{}),
 	}
+	s.changed.L = &s.mu
 	for i, ch := range hello.Channels {
 		s.reseq[i] = NewResequencer(ch.Lanes, ResequencerConfig{})
 	}
 	return s
 }
 
-// terminate marks the session shed/evicted: the worker discards queued
-// frames and exits, and the handler (if any) reports msg to the client.
-func (s *session) terminate(msg string) {
-	s.termOnce.Do(func() {
-		s.termMsg.Store(&msg)
-		close(s.quit)
-	})
+// step applies one lifecycle event under s.mu and returns the phase it
+// leaves the session in and whether the event took effect (for an attach:
+// whether the connection bound). A Finish, drain, eviction or worker
+// failure that finds the session captured first waits for the handoff to
+// resolve: a captured session cannot also end here.
+func (s *session) step(ev event) (phase, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch ev.kind {
+	case evFinish, evDrain, evEvict, evFail:
+		for s.phase == captured {
+			s.changed.Wait()
+		}
+	}
+	return s.apply(ev)
 }
 
-func (s *session) terminated() bool {
-	select {
-	case <-s.quit:
-		return true
-	default:
-		return false
+// transitions[p][e] is the phase event e moves a session in phase p to; an
+// event with no entry leaves it be. Two rules sit outside the table, in
+// apply: an attach binds only a session with no connection bound, and a
+// refused handoff whose handler still holds its connection is attached.
+var transitions = [...]map[eventKind]phase{
+	attached: {
+		evDetach: detached, evFinish: finishing, evDrain: draining, evCapture: captured,
+		evShed: terminated, evEvict: terminated, evFail: terminated,
+	},
+	detached: {
+		evAttach: attached, evDrain: draining, evCapture: captured,
+		evExpire: terminated, evShed: terminated, evFail: terminated,
+	},
+	captured:   {evAck: migrated, evRefuse: detached},
+	finishing:  {evShed: terminated, evFail: terminated, evVerdict: finished},
+	draining:   {evShed: terminated, evFail: terminated, evVerdict: drained},
+	terminated: nil, // sizes the table: terminal phases take no events
+}
+
+// apply is the session's transition function; the caller holds s.mu. It is
+// the only code that assigns s.phase, and it carries every side effect of a
+// phase change: the retention timer, the session.detached gauge, the
+// journal Detach record, queueing the worker's Finish or drain command, the
+// one counter per ending, closing quit, and waking the handler of a session
+// that stops reading.
+func (s *session) apply(ev event) (phase, bool) {
+	from := s.phase
+	switch ev.kind {
+	case evAttach:
+		if s.conn != nil || from != attached && from != detached && from != captured {
+			return from, false
+		}
+		s.conn = ev.conn
+	case evDetach:
+		s.conn = nil
 	}
+	to, ok := transitions[from][ev.kind]
+	if !ok {
+		return from, ev.kind == evAttach
+	}
+	if to == detached && s.conn != nil {
+		to = attached
+	}
+	// reason is read only in terminated, verdict only in finished and
+	// drained, and only the events that lead there carry them.
+	s.phase, s.reason, s.verdict = to, ev.reason, ev.verdict
+	s.changed.Broadcast()
+	if from == detached {
+		s.retention.Stop()
+		s.retention = nil
+		metDetached.Add(-1)
+	}
+	switch to {
+	case detached:
+		metDetached.Add(1)
+		if j := s.srv.cfg.Journal; j != nil {
+			j.Detach(s.id)
+		}
+		s.retention = time.AfterFunc(s.srv.cfg.Retention, func() {
+			s.step(event{kind: evExpire, reason: "session retention expired"})
+		})
+	case finishing:
+		// The command goes in behind every frame the handler has queued
+		// (the worker discards a frame queued after it), from a goroutine
+		// because the queue may be full and s.mu is held.
+		go s.enqueue(queued{reason: "finished"}, 0) //nolint:errcheck // an ending that beats it is the ending
+	case draining:
+		go s.enqueue(queued{reason: "drained"}, 0) //nolint:errcheck // an ending that beats it is the ending
+	case finished:
+		metCompleted.Inc()
+	case drained:
+		metDrained.Inc()
+	case migrated:
+		metHandoffOut.Inc()
+	case terminated:
+		switch ev.kind {
+		case evShed:
+			metShed.Inc()
+		case evFail:
+			metFailed.Inc()
+		default:
+			metEvicted.Inc()
+		}
+	}
+	if to.ended() {
+		close(s.quit)
+	}
+	if s.conn != nil && to != attached && to != captured {
+		s.conn.SetReadDeadline(time.Now()) //nolint:errcheck // best-effort wake
+	}
+	return to, true
+}
+
+// current reports the session's phase.
+func (s *session) current() phase {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.phase
+}
+
+// ending returns the frame that tells a client how the session ended: the
+// verdict for finished and drained, a typed rejection for migrated and
+// terminated. With wait it blocks until the session ends; without, it
+// returns nil for a live session.
+func (s *session) ending(wait bool) *Frame {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for wait && !s.phase.ended() {
+		s.changed.Wait()
+	}
+	switch s.phase {
+	case finished, drained:
+		return &Frame{Type: FrameVerdict, Verdict: s.verdict}
+	case migrated:
+		return &Frame{Type: FrameError, Message: migratedMsg}
+	case terminated:
+		return &Frame{Type: FrameError, Message: s.reason}
+	}
+	return nil
 }
 
 // enqueue hands one unit to the worker, blocking up to timeout. The block
@@ -182,19 +335,18 @@ func (s *session) enqueue(q queued, timeout time.Duration) error {
 }
 
 // run is the session worker: the only goroutine that touches the
-// resequencers and the sink. It exits after sending exactly one outcome
-// (verdict or error) or after termination, and removal from the server
-// happens here so it cannot race a new session reusing the id.
+// resequencers and the sink. It exits once the session has ended — by its
+// own verdict or failure, or by an ending that closed quit — discarding
+// whatever is still queued, and removal from the server happens here so it
+// cannot race a new session reusing the id. Every cfg.SnapshotEveryFrames
+// consumed frames it journals a snapshot.
 func (s *session) run() {
-	defer func() {
-		close(s.done)
-		s.srv.removeSession(s)
-	}()
+	defer s.srv.removeSession(s)
+	defer s.discardQueue()
+	frames := 0
 	for {
 		select {
 		case <-s.quit:
-			s.discardQueue()
-			s.outcomeCh <- outcome{err: errTerminated}
 			return
 		case q := <-s.queue:
 			s.srv.depth.Add(-1)
@@ -207,15 +359,20 @@ func (s *session) run() {
 				continue
 			}
 			if q.reason != "" {
-				v, err := s.finish(q.reason)
-				s.outcomeCh <- outcome{v: v, err: err}
+				if v, err := s.finish(q.reason); err != nil {
+					s.step(event{kind: evFail, reason: fmt.Sprintf("session failed: %v", err)})
+				} else {
+					s.step(event{kind: evVerdict, verdict: v})
+				}
 				return
 			}
 			if err := s.consume(q.f); err != nil {
-				s.terminate(fmt.Sprintf("session failed: %v", err))
-				s.discardQueue()
-				s.outcomeCh <- outcome{err: err}
+				s.step(event{kind: evFail, reason: fmt.Sprintf("session failed: %v", err)})
 				return
+			}
+			frames++
+			if j := s.srv.cfg.Journal; j != nil && frames%s.srv.cfg.SnapshotEveryFrames == 0 {
+				s.snapshot(j)
 			}
 		}
 	}
@@ -259,10 +416,6 @@ func (s *session) consume(f *Frame) error {
 		}
 	}
 	s.committed[ch].Store(r.Committed())
-	s.frames++
-	if j := s.srv.cfg.Journal; j != nil && s.frames%s.srv.cfg.SnapshotEveryFrames == 0 {
-		s.snapshot(j)
-	}
 	return nil
 }
 
@@ -274,15 +427,11 @@ func (s *session) consume(f *Frame) error {
 func (s *session) snapshot(j *Journal) {
 	t := metSnapshotTimer.Start()
 	defer metSnapshotTimer.Stop(t)
-	var state []byte
-	if ss, ok := unwrapSink(s.sink).(StatefulSink); ok {
-		var err error
-		if state, err = ss.CaptureState(); err != nil {
-			s.srv.logf("session %s: state capture failed: %v", s.id, err)
-			state = nil
-		}
+	r := s.captureState()
+	if r.err != nil {
+		s.srv.logf("session %s: state capture failed: %v", s.id, r.err)
 	}
-	j.Snapshot(s.id, s.committedSnapshot(), state)
+	j.Snapshot(s.id, r.committed, r.state)
 }
 
 // finish flushes every channel's resequencer (filling open and trailing
@@ -320,55 +469,35 @@ func (s *session) discardQueue() {
 	}
 }
 
-// captureState is the worker-side half of a handoff export: the same
-// capture a journal snapshot takes, but returned to the exporter instead of
-// appended to the journal.
-func (s *session) captureState() captured {
-	var state []byte
+// captureState takes the session's resume point on the worker: the
+// committed counts and, when the sink supports it, the monitor state. A
+// journal snapshot appends it; a handoff export returns it to the exporter.
+func (s *session) captureState() (r captureReply) {
+	r.committed = s.committedSnapshot()
 	if ss, ok := unwrapSink(s.sink).(StatefulSink); ok {
-		var err error
-		if state, err = ss.CaptureState(); err != nil {
-			return captured{err: err}
+		if r.state, r.err = ss.CaptureState(); r.err != nil {
+			r.state = nil
 		}
 	}
-	return captured{committed: s.committedSnapshot(), state: state}
+	return r
 }
 
-// exportState asks the session worker for a consistent resume point,
-// waiting at most timeout for the worker to reach the command in its queue.
-// It fails — rather than blocking a whole drain — if the session terminates
-// or finishes first.
-func (s *session) exportState(timeout time.Duration) (captured, error) {
-	reply := make(chan captured, 1)
-	t := time.NewTimer(timeout)
+// exportState asks the worker of a captured session for a consistent
+// resume point, waiting at most timeout for it to reach the command in its
+// queue. A captured session cannot end, so only a busy worker times out.
+func (s *session) exportState(timeout time.Duration) (captureReply, error) {
+	deadline := time.Now().Add(timeout)
+	reply := make(chan captureReply, 1)
+	if err := s.enqueue(queued{capture: reply}, timeout); err != nil {
+		return captureReply{}, err
+	}
+	t := time.NewTimer(time.Until(deadline))
 	defer t.Stop()
 	select {
-	case s.queue <- queued{capture: reply}:
-		// Mirror enqueue's depth accounting; the worker (or discardQueue)
-		// decrements it.
-		s.srv.depth.Add(1)
-		metDepth.Add(1)
-		if s.tenant != nil {
-			s.tenant.depth.Add(1)
-		}
-	case <-s.quit:
-		return captured{}, errTerminated
-	case <-s.done:
-		return captured{}, errTerminated
+	case r := <-reply:
+		return r, r.err
 	case <-t.C:
-		return captured{}, errStalled
-	}
-	select {
-	case cap := <-reply:
-		if cap.err != nil {
-			return captured{}, cap.err
-		}
-		return cap, nil
-	case <-s.done:
-		// terminate() won the race and discardQueue dropped the command.
-		return captured{}, errTerminated
-	case <-t.C:
-		return captured{}, errStalled
+		return captureReply{}, errStalled
 	}
 }
 
@@ -388,85 +517,4 @@ func (s *session) committedSnapshot() []uint64 {
 		out[i] = s.committed[i].Load()
 	}
 	return out
-}
-
-// attach binds a connection to the session, cancelling any retention
-// countdown. It fails if another connection is already attached.
-func (s *session) attach(conn net.Conn) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.conn != nil {
-		return fmt.Errorf("ingest: session %q already attached", s.id)
-	}
-	if s.retention != nil {
-		s.retention.Stop()
-		s.retention = nil
-	}
-	if s.isDetached {
-		s.isDetached = false
-		metDetached.Add(-1)
-	}
-	s.conn = conn
-	return nil
-}
-
-// detach releases the connection and starts the retention countdown: the
-// client has this long to reconnect and resume before the session is
-// evicted.
-func (s *session) detach(retention time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.conn = nil
-	if s.terminated() {
-		return
-	}
-	if !s.isDetached {
-		s.isDetached = true
-		metDetached.Add(1)
-		if j := s.srv.cfg.Journal; j != nil {
-			j.Detach(s.id)
-		}
-	}
-	// A drain that found the session attached left it to its handler, which
-	// is leaving now: flush it here, or Shutdown would wait out retention.
-	// Checking under s.mu orders this against Shutdown's look at s.conn.
-	if s.srv.isDraining() {
-		s.drainDetached()
-		return
-	}
-	s.retention = time.AfterFunc(retention, func() {
-		s.terminate("session retention expired")
-		metEvicted.Inc()
-	})
-}
-
-// drainDetached flushes a session no handler owns during a drain and counts
-// it drained once the worker has produced its final verdict. Only the
-// first call acts.
-func (s *session) drainDetached() {
-	s.drainOnce.Do(func() {
-		go func() {
-			if err := s.enqueue(queued{reason: "drained"}, 0); err == nil {
-				<-s.outcomeCh
-				metDrained.Inc()
-			}
-		}()
-	})
-}
-
-// wake interrupts the attached handler's blocking read (if any) so it
-// notices a drain or termination promptly.
-func (s *session) wake() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.conn != nil {
-		s.conn.SetReadDeadline(time.Now()) //nolint:errcheck // best-effort wake
-	}
-}
-
-func (s *session) terminationMessage() string {
-	if m := s.termMsg.Load(); m != nil {
-		return *m
-	}
-	return "session terminated"
 }

@@ -337,10 +337,11 @@ func TestSharedPoolShadowJournalsPrimary(t *testing.T) {
 		t.Fatal("fixture: candidate state matches the primary's; the test cannot tell them apart")
 	}
 
-	exported := srv.ExportSessions(5 * time.Second)
+	exported := srv.exportSessions(5 * time.Second)
 	if len(exported) != 1 {
 		t.Fatalf("exported %d sessions, want 1", len(exported))
 	}
+	exported[0].sess.step(event{kind: evRefuse}) // no successor: the session stays here
 	var journaled RecoveredSession
 	waitFor(t, 5*time.Second, func() bool {
 		live := j.ExportLive()

@@ -327,12 +327,7 @@ func TestResumeLayoutValidation(t *testing.T) {
 		srv.mu.Lock()
 		s := srv.sessions["layout"]
 		srv.mu.Unlock()
-		if s == nil {
-			return false
-		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.conn == nil
+		return s != nil && s.current() == detached
 	})
 
 	var se *ServerError
