@@ -184,7 +184,7 @@ func run() error {
 	// detached, its monitor state restored from the last durable snapshot,
 	// waiting for its client to reconnect through the ordinary resume path.
 	var journal *ingest.Journal
-	var journaled []ingest.RecoveredSession
+	var journaled []*ingest.Frame
 	if *journalDir != "" {
 		mode, err := ingest.ParseJournalSyncMode(*journalSync)
 		if err != nil {

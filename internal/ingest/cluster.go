@@ -403,54 +403,43 @@ func (c *Cluster) servePing(conn net.Conn, f *Frame) error {
 	return WriteFrame(conn, &Frame{Type: FramePong, Peer: c.cfg.PeerID, Usage: c.localUsage(), Flags: c.drainFlag()})
 }
 
-// serveHandoff re-admits one migrated session — fetching its model from the
-// sender over the same connection if the hash is unknown here — and acks
-// with an empty message on success.
-func (c *Cluster) serveHandoff(conn net.Conn, br *bufio.Reader, f *Frame) error {
-	rs := RecoveredSession{
-		SessionID: f.SessionID,
-		Tenant:    f.Tenant,
-		Model:     f.Model,
-		Priority:  f.Priority,
-		Channels:  append([]ChannelSpec(nil), f.Channels...),
-		Committed: append([]uint64(nil), f.Committed...),
-		State:     append([]byte(nil), f.Blob...),
-	}
-	if len(rs.Committed) == 0 {
-		rs.Committed = make([]uint64, len(rs.Channels))
-	}
-	msg := c.admitHandoff(conn, br, rs)
+// serveHandoff re-admits one migrated session from its image, the decoded
+// Handoff frame — fetching its model from the sender over the same
+// connection if the hash is unknown here — and acks with an empty message
+// on success.
+func (c *Cluster) serveHandoff(conn net.Conn, br *bufio.Reader, img *Frame) error {
+	msg := c.admitHandoff(conn, br, img)
 	if msg == "" {
 		metHandoffIn.Inc()
 		c.logf("cluster: session %s migrated in (tenant %q, model %q, committed %v, %d-byte state)",
-			rs.SessionID, rs.Tenant, rs.Model, rs.Committed, len(rs.State))
+			img.SessionID, img.Tenant, img.Model, img.Committed, len(img.Blob))
 	} else {
-		c.logf("cluster: session %s handoff refused: %s", rs.SessionID, msg)
+		c.logf("cluster: session %s handoff refused: %s", img.SessionID, msg)
 	}
-	return WriteFrame(conn, &Frame{Type: FrameHandoffAck, SessionID: rs.SessionID, Message: msg})
+	return WriteFrame(conn, &Frame{Type: FrameHandoffAck, SessionID: img.SessionID, Message: msg})
 }
 
-func (c *Cluster) admitHandoff(conn net.Conn, br *bufio.Reader, rs RecoveredSession) string {
+func (c *Cluster) admitHandoff(conn net.Conn, br *bufio.Reader, img *Frame) string {
 	if c.srv == nil || c.pool == nil {
 		return "peer not accepting handoffs"
 	}
 	if c.draining.Load() {
 		return "peer is draining"
 	}
-	if rs.Model != "" && !c.pool.Has(rs.Model) {
-		if err := c.fetchModelFrom(conn, br, rs.Model); err != nil {
-			return fmt.Sprintf("model %s unavailable: %v", rs.Model, err)
+	if img.Model != "" && !c.pool.Has(img.Model) {
+		if err := c.fetchModelFrom(conn, br, img.Model); err != nil {
+			return fmt.Sprintf("model %s unavailable: %v", img.Model, err)
 		}
-		c.logf("cluster: model %s fetched from handoff sender", rs.Model)
+		c.logf("cluster: model %s fetched from handoff sender", img.Model)
 	}
 	// Journal the arrival before admitting: a crash of this peer right after
 	// the ack must still find the session at boot. A failed admit below runs
 	// the ordinary skip path, which marks it finished again.
 	if j := c.srv.cfg.Journal; j != nil {
-		j.Admit(rs.SessionID, rs.Tenant, rs.Model, rs.Priority, rs.Channels)
-		j.Snapshot(rs.SessionID, rs.Committed, rs.State)
+		j.Admit(img.SessionID, img.Tenant, img.Model, img.Priority, img.Channels)
+		j.Snapshot(img.SessionID, img.Committed, img.Blob)
 	}
-	if n := c.srv.Recover([]RecoveredSession{rs}, c.pool); n != 1 {
+	if n := c.srv.Recover([]*Frame{img}, c.pool); n != 1 {
 		return "not admitted" // Recover logged the reason and finished the journal entry
 	}
 	return ""
@@ -530,10 +519,10 @@ func readModelChunks(br *bufio.Reader, version string) ([]byte, error) {
 
 // ---- Drain / handoff ----
 
-// handoffSession is one captured session's serialized resume point plus
-// the live handle whose push outcome the drain reports back to it.
+// handoffSession is one captured session's image plus the live handle
+// whose push outcome the drain reports back to it.
 type handoffSession struct {
-	RecoveredSession
+	*Frame
 	sess *session
 }
 
@@ -583,7 +572,9 @@ func (c *Cluster) HandoffAll(ctx context.Context) (migrated, failed int) {
 // pushBatch hands one successor its share of the drain over a single
 // connection and resolves every capture: an ack migrates the session, a
 // refusal or a transport failure (which spends the rest of the batch)
-// returns it to the local drain. It returns how many the successor acked.
+// returns it to the local drain. An image that cannot be encoded is refused
+// before it touches the connection, so the batch goes on. It returns how
+// many the successor acked.
 func (c *Cluster) pushBatch(ctx context.Context, peer int, batch []handoffSession) (acked int) {
 	conn, err := net.DialTimeout("tcp", c.cfg.Peers[peer], c.cfg.ProbeTimeout)
 	if err != nil {
@@ -608,7 +599,7 @@ func (c *Cluster) pushBatch(ctx context.Context, peer int, batch []handoffSessio
 			continue
 		}
 		if refusal != "" {
-			c.logf("cluster: handoff %s refused by peer %d: %s", hs.SessionID, peer, refusal)
+			c.logf("cluster: handoff %s to peer %d refused: %s", hs.SessionID, peer, refusal)
 		}
 		metHandoffFail.Inc()
 		hs.sess.step(event{kind: evRefuse})
@@ -616,17 +607,17 @@ func (c *Cluster) pushBatch(ctx context.Context, peer int, batch []handoffSessio
 	return acked
 }
 
-// pushOne sends one Handoff frame and serves any ModelFetch the successor
-// issues before it acks. A non-empty refusal means the successor declined;
-// an error means the connection failed.
+// pushOne sends one session's image and serves any ModelFetch the
+// successor issues before it acks. A non-empty refusal means the image
+// could not be encoded or the successor declined; an error means the
+// connection failed.
 func (c *Cluster) pushOne(conn net.Conn, br *bufio.Reader, hs handoffSession) (refusal string, err error) {
-	conn.SetDeadline(time.Now().Add(peerIOTimeout)) //nolint:errcheck // net.Conn deadlines
-	hf := &Frame{
-		Type: FrameHandoff, SessionID: hs.SessionID, Priority: hs.Priority,
-		Channels: hs.Channels, Tenant: hs.Tenant, Model: hs.Model,
-		Committed: hs.Committed, Blob: hs.State,
+	buf, err := c.encodeHandoff(hs.Frame)
+	if err != nil {
+		return fmt.Sprintf("cannot encode handoff: %v", err), nil
 	}
-	if err := WriteFrame(conn, hf); err != nil {
+	conn.SetDeadline(time.Now().Add(peerIOTimeout)) //nolint:errcheck // net.Conn deadlines
+	if _, err := conn.Write(buf); err != nil {
 		return "", err
 	}
 	for {
@@ -648,4 +639,19 @@ func (c *Cluster) pushOne(conn net.Conn, br *bufio.Reader, hs handoffSession) (r
 			return "", fmt.Errorf("unexpected %v frame awaiting handoff ack", f.Type)
 		}
 	}
+}
+
+// encodeHandoff encodes a session image for the wire. The frame-size limit
+// applies here, to live captures and journal fallbacks alike: an image
+// whose state does not fit in one frame migrates without it, and the
+// successor starts the session at sample 0 (see Recover).
+func (c *Cluster) encodeHandoff(img *Frame) ([]byte, error) {
+	buf, err := AppendFrame(nil, img)
+	if err == nil || len(img.Blob) == 0 {
+		return buf, err
+	}
+	c.logf("cluster: session %s: %v; migrating without its %d-byte state", img.SessionID, err, len(img.Blob))
+	bare := *img
+	bare.Blob = nil
+	return AppendFrame(nil, &bare)
 }

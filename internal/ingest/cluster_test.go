@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -625,5 +626,125 @@ func TestHandoffRefusedByDrainingPeer(t *testing.T) {
 	// The refused session is still here, drainable the ordinary way.
 	if got := fleet[0].srv.SessionCount(); got != 1 {
 		t.Fatalf("refused session dropped: SessionCount = %d, want 1", got)
+	}
+}
+
+// drainBatchIDs returns n session ids that peer 0 of a two-peer fleet owns,
+// sorted as a drain batches them.
+func drainBatchIDs(n int) []string {
+	var ids []string
+	for i := 0; len(ids) < n; i++ {
+		if id := fmt.Sprintf("batch-%d", i); OwnerOf(id, 2, nil) == 0 {
+			ids = append(ids, id)
+		}
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+// failCaptureSink is a stateful sink whose capture always fails, so a drain
+// exports its session from the journal instead.
+type failCaptureSink struct{ countSink }
+
+func (*failCaptureSink) CaptureState() ([]byte, error) { return nil, errors.New("capture refused") }
+func (*failCaptureSink) RestoreState([]byte) error     { return nil }
+
+// failCaptureFactory gives session fail a failCaptureSink and every other
+// session a plain one.
+type failCaptureFactory struct{ fail string }
+
+func (f failCaptureFactory) Acquire(hello *Frame) (Sink, error) {
+	if hello.SessionID == f.fail {
+		return &failCaptureSink{}, nil
+	}
+	return &countSink{}, nil
+}
+
+func (failCaptureFactory) Release(Sink) {}
+
+// TestHandoffOversizeFallbackMigratesWithoutState: a session whose live
+// capture fails migrates from its journal image. When that image's state
+// fits the journal but not one Handoff frame, the session migrates without
+// its resume point, and the rest of the batch still goes out over the same
+// connection.
+func TestHandoffOversizeFallbackMigratesWithoutState(t *testing.T) {
+	ids := drainBatchIDs(2) // the batch runs in id order: the oversize image goes first
+
+	st := startStubSuccessor(t)
+	close(st.release) // ack every handoff as it arrives
+	j, _ := openTestJournal(t, t.TempDir(), JournalConfig{})
+	t.Cleanup(func() { j.Close() })
+	srv, cl, serveErr := startDrainPeer(t, failCaptureFactory{fail: ids[0]}, Config{Journal: j}, st.addr)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		if err := <-serveErr; err != nil {
+			t.Errorf("serve: %v", err)
+		}
+	})
+	for _, id := range ids {
+		c, err := Dial(cl.Self(), oneChanHello(id, 1), 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+	}
+	// Under the journal's state cap, so the journal keeps it, but too big
+	// for any Handoff frame to carry.
+	j.Snapshot(ids[0], []uint64{10}, make([]byte, MaxFramePayload-16))
+
+	if migrated, failed := cl.HandoffAll(context.Background()); migrated != 2 || failed != 0 {
+		t.Fatalf("HandoffAll = (%d migrated, %d failed), want (2, 0)", migrated, failed)
+	}
+	for _, id := range ids {
+		if got := <-st.received; got != id {
+			t.Fatalf("successor received %s, want %s", got, id)
+		}
+	}
+}
+
+// TestHandoffUnencodableImageRefusesOnlyItself: an image that cannot be
+// encoded even without its state is refused before it touches the
+// connection, and the rest of the batch still migrates over it.
+func TestHandoffUnencodableImageRefusesOnlyItself(t *testing.T) {
+	ids := drainBatchIDs(2)
+	st := startStubSuccessor(t)
+	close(st.release) // ack every handoff as it arrives
+	srv, cl, serveErr := startDrainPeer(t, &countFactory{}, Config{}, st.addr)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		if err := <-serveErr; err != nil {
+			t.Errorf("serve: %v", err)
+		}
+	})
+	for _, id := range ids {
+		c, err := Dial(cl.Self(), oneChanHello(id, 1), 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+	}
+	exported := srv.exportSessions(5 * time.Second)
+	if len(exported) != 2 {
+		t.Fatalf("exported %d sessions, want 2", len(exported))
+	}
+	bad := *exported[0].Frame
+	bad.Priority = 256 // wider than its one-byte field
+	exported[0].Frame = &bad
+	if acked := cl.pushBatch(context.Background(), 1, exported); acked != 1 {
+		t.Fatalf("pushBatch acked %d, want 1", acked)
+	}
+	if got := <-st.received; got != ids[1] {
+		t.Fatalf("successor received %s, want %s", got, ids[1])
+	}
+	if ph := exported[0].sess.current(); ph != attached {
+		t.Fatalf("unencodable session is in phase %d, want attached (refused, still served here)", ph)
 	}
 }

@@ -192,7 +192,11 @@ type Frame struct {
 	Addr string
 	Peer int
 
-	// Handoff: Blob is the captured monitor state (may be empty).
+	// Handoff: the session image that journal recovery, drain export and
+	// peer handoff all carry (DESIGN.md §16, §17). Its identity fields are
+	// a Hello's, Committed holds its commit points, and Blob the captured
+	// monitor state (nil without one, and then Recover starts the session
+	// at sample 0).
 	// ModelData: Blob is one chunk of a gob-encoded model; Seq is the chunk
 	// byte offset and Last marks the final chunk.
 	Blob []byte
@@ -218,165 +222,167 @@ type Frame struct {
 	Message string
 }
 
-// ---- Encoding ----
+// ---- Field codec ----
+//
+// The wire frames and the journal records (DESIGN.md §16) share one field
+// codec: one encoder and one decoder per field group. A frameWriter and a
+// frameReader each keep their first error, so a frame or record writes or
+// reads every field and checks once.
 
-type frameWriter struct{ buf []byte }
+type frameWriter struct {
+	buf []byte
+	err error
+}
+
+// fail records the writer's first error.
+func (w *frameWriter) fail(format string, args ...any) {
+	if w.err == nil {
+		w.err = fmt.Errorf("%w: %s", ErrMalformed, fmt.Sprintf(format, args...))
+	}
+}
 
 func (w *frameWriter) u8(v uint8)     { w.buf = append(w.buf, v) }
-func (w *frameWriter) u16(v uint16)   { w.buf = binary.BigEndian.AppendUint16(w.buf, v) }
-func (w *frameWriter) u32(v uint32)   { w.buf = binary.BigEndian.AppendUint32(w.buf, v) }
 func (w *frameWriter) u64(v uint64)   { w.buf = binary.BigEndian.AppendUint64(w.buf, v) }
 func (w *frameWriter) f64(v float64)  { w.u64(math.Float64bits(v)) }
-func (w *frameWriter) str8(s string)  { w.u8(uint8(len(s))); w.buf = append(w.buf, s...) }
-func (w *frameWriter) str16(s string) { w.u16(uint16(len(s))); w.buf = append(w.buf, s...) }
+func (w *frameWriter) str8(s string)  { w.n8(len(s)); w.buf = append(w.buf, s...) }
+func (w *frameWriter) str16(s string) { w.n16(len(s)); w.buf = append(w.buf, s...) }
+
+// n8, n16 and n32 write a non-negative int as an unsigned field of that many
+// bits.
+func (w *frameWriter) n8(v int)  { w.unsigned(v, 1) }
+func (w *frameWriter) n16(v int) { w.unsigned(v, 2) }
+func (w *frameWriter) n32(v int) { w.unsigned(v, 4) }
+
+// unsigned writes v big-endian in size bytes. A value that does not fit
+// fails the writer instead of being truncated.
+func (w *frameWriter) unsigned(v, size int) {
+	if v < 0 || uint64(v)>>(8*size) != 0 {
+		w.fail("field value %d does not fit a %d-byte field", v, size)
+		return
+	}
+	for i := size - 1; i >= 0; i-- {
+		w.buf = append(w.buf, byte(v>>(8*i)))
+	}
+}
+
+// bit is 1 for true and 0 for false.
+func bit(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// identity writes the session identity a Hello or a Handoff opens with.
+func (w *frameWriter) identity(f *Frame) {
+	w.str8(f.SessionID)
+	w.n8(f.Priority)
+	w.channels(f.Channels)
+	w.str8(f.Tenant)
+	w.str8(f.Model)
+}
+
+// channels writes a channel-spec list: Hello, Handoff, journal admit.
+func (w *frameWriter) channels(specs []ChannelSpec) {
+	w.n8(len(specs))
+	for _, ch := range specs {
+		if ch.Lanes == 0 {
+			w.fail("channel %q with zero lanes", ch.Name)
+		}
+		w.str8(ch.Name)
+		w.n8(ch.Lanes)
+		w.f64(ch.Rate)
+	}
+}
+
+// commits writes a commit-point list: HelloAck, Handoff, journal snapshot.
+func (w *frameWriter) commits(committed []uint64) {
+	w.n8(len(committed))
+	for _, c := range committed {
+		w.u64(c)
+	}
+}
+
+// blob writes a length-prefixed byte string: Handoff, ModelData, journal
+// snapshot.
+func (w *frameWriter) blob(b []byte) {
+	w.n32(len(b))
+	w.buf = append(w.buf, b...)
+}
 
 // AppendFrame appends the encoded frame (length prefix included) to dst and
-// returns the extended slice. It validates the frame's string and slice
-// lengths against their wire-format field widths.
+// returns the extended slice. A field that does not fit its wire width, or a
+// payload over MaxFramePayload, fails the encode with ErrMalformed.
 func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
-	w := &frameWriter{buf: make([]byte, 0, 64+8*len(f.Values))}
+	w := &frameWriter{buf: make([]byte, 0, 64+8*len(f.Values)+len(f.Blob))}
 	w.u8(Version)
 	w.u8(uint8(f.Type))
 	switch f.Type {
 	case FrameHello:
-		if len(f.SessionID) > 255 || len(f.Channels) > 255 || len(f.Tenant) > 255 || len(f.Model) > 255 {
-			return nil, fmt.Errorf("%w: hello field too long", ErrMalformed)
-		}
-		w.str8(f.SessionID)
-		w.u8(uint8(f.Priority))
-		w.u8(uint8(len(f.Channels)))
-		for _, ch := range f.Channels {
-			if len(ch.Name) > 255 || ch.Lanes < 1 || ch.Lanes > 255 {
-				return nil, fmt.Errorf("%w: bad channel spec", ErrMalformed)
-			}
-			w.str8(ch.Name)
-			w.u8(uint8(ch.Lanes))
-			w.f64(ch.Rate)
-		}
-		w.str8(f.Tenant)
-		w.str8(f.Model)
+		w.identity(f)
 		if f.Flags != 0 {
 			w.u8(f.Flags)
 		}
 	case FrameHelloAck:
-		if len(f.Committed) > 255 {
-			return nil, fmt.Errorf("%w: too many channels", ErrMalformed)
-		}
-		w.u8(uint8(len(f.Committed)))
-		for _, c := range f.Committed {
-			w.u64(c)
-		}
+		w.commits(f.Committed)
 	case FrameData:
-		w.u8(uint8(f.Channel))
+		w.n8(f.Channel)
 		w.u64(f.Seq)
-		w.u32(uint32(len(f.Values)))
+		w.n32(len(f.Values))
 		for _, v := range f.Values {
 			w.f64(v)
 		}
 	case FrameEOS:
-		w.u8(uint8(f.Channel))
+		w.n8(f.Channel)
 		w.u64(f.Seq)
 	case FrameFinish:
 		// no payload beyond the header
 	case FrameVerdict:
 		v := f.Verdict
 		if v == nil {
-			return nil, fmt.Errorf("%w: verdict frame without verdict", ErrMalformed)
+			w.fail("verdict frame without verdict")
+			break
 		}
-		if v.Intrusion {
-			w.u8(1)
-		} else {
-			w.u8(0)
-		}
+		w.u8(bit(v.Intrusion))
 		w.str16(v.Reason)
-		w.u16(uint16(len(v.Alerts)))
+		w.n16(len(v.Alerts))
 		for _, a := range v.Alerts {
 			w.f64(a.Time)
-			w.u8(uint8(a.Votes))
-			w.u8(uint8(a.Healthy))
-			w.u8(uint8(a.Needed))
+			w.n8(a.Votes)
+			w.n8(a.Healthy)
+			w.n8(a.Needed)
 		}
-		w.u8(uint8(len(v.Channels)))
+		w.n8(len(v.Channels))
 		for _, ch := range v.Channels {
 			w.str8(ch.Name)
-			b := uint8(0)
-			if ch.Quarantined {
-				b |= 1
-			}
-			if ch.Voting {
-				b |= 2
-			}
-			w.u8(b)
+			w.u8(bit(ch.Quarantined) | bit(ch.Voting)<<1)
 			w.str8(ch.Health)
 		}
 	case FrameError:
 		w.str16(f.Message)
 	case FrameRedirect:
-		if len(f.Addr) > 65535 || f.Peer < 0 || f.Peer > 65535 {
-			return nil, fmt.Errorf("%w: bad redirect", ErrMalformed)
-		}
 		w.str16(f.Addr)
-		w.u16(uint16(f.Peer))
+		w.n16(f.Peer)
 	case FrameHandoff:
-		if len(f.SessionID) > 255 || len(f.Channels) > 255 || len(f.Tenant) > 255 ||
-			len(f.Model) > 255 || len(f.Committed) > 255 {
-			return nil, fmt.Errorf("%w: handoff field too long", ErrMalformed)
-		}
-		w.str8(f.SessionID)
-		w.u8(uint8(f.Priority))
-		w.u8(uint8(len(f.Channels)))
-		for _, ch := range f.Channels {
-			if len(ch.Name) > 255 || ch.Lanes < 1 || ch.Lanes > 255 {
-				return nil, fmt.Errorf("%w: bad channel spec", ErrMalformed)
-			}
-			w.str8(ch.Name)
-			w.u8(uint8(ch.Lanes))
-			w.f64(ch.Rate)
-		}
-		w.str8(f.Tenant)
-		w.str8(f.Model)
-		w.u8(uint8(len(f.Committed)))
-		for _, c := range f.Committed {
-			w.u64(c)
-		}
-		w.u32(uint32(len(f.Blob)))
-		w.buf = append(w.buf, f.Blob...)
+		w.identity(f)
+		w.commits(f.Committed)
+		w.blob(f.Blob)
 	case FrameHandoffAck:
-		if len(f.SessionID) > 255 || len(f.Message) > 65535 {
-			return nil, fmt.Errorf("%w: handoff ack field too long", ErrMalformed)
-		}
 		w.str8(f.SessionID)
 		w.str16(f.Message)
 	case FrameModelFetch:
-		if len(f.Model) > 255 {
-			return nil, fmt.Errorf("%w: model version too long", ErrMalformed)
-		}
 		w.str8(f.Model)
 	case FrameModelData:
-		if len(f.Model) > 255 {
-			return nil, fmt.Errorf("%w: model version too long", ErrMalformed)
-		}
 		w.str8(f.Model)
 		w.u64(f.Seq)
-		if f.Last {
-			w.u8(1)
-		} else {
-			w.u8(0)
-		}
-		w.u32(uint32(len(f.Blob)))
-		w.buf = append(w.buf, f.Blob...)
+		w.u8(bit(f.Last))
+		w.blob(f.Blob)
 	case FramePing, FramePong:
-		if f.Peer < 0 || f.Peer > 65535 || len(f.Usage) > 65535 {
-			return nil, fmt.Errorf("%w: bad peer gossip", ErrMalformed)
-		}
-		w.u16(uint16(f.Peer))
-		w.u16(uint16(len(f.Usage)))
+		w.n16(f.Peer)
+		w.n16(len(f.Usage))
 		for _, u := range f.Usage {
-			if len(u.Tenant) > 255 || u.Sessions < 0 || int64(u.Sessions) > math.MaxUint32 {
-				return nil, fmt.Errorf("%w: bad tenant usage", ErrMalformed)
-			}
 			w.str8(u.Tenant)
-			w.u32(uint32(u.Sessions))
+			w.n32(u.Sessions)
 		}
 		// Trailing-optional draining flag: written only when set, so the
 		// fresh-probe encoding matches peers that predate it.
@@ -384,10 +390,13 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 			w.u8(f.Flags)
 		}
 	default:
-		return nil, fmt.Errorf("%w: unknown frame type %d", ErrMalformed, f.Type)
+		w.fail("unknown frame type %d", f.Type)
 	}
 	if len(w.buf) > MaxFramePayload {
-		return nil, fmt.Errorf("%w: frame payload %d exceeds %d", ErrMalformed, len(w.buf), MaxFramePayload)
+		w.fail("frame payload %d exceeds %d", len(w.buf), MaxFramePayload)
+	}
+	if w.err != nil {
+		return nil, w.err
 	}
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(w.buf)))
 	return append(dst, w.buf...), nil
@@ -403,75 +412,115 @@ func WriteFrame(w io.Writer, f *Frame) error {
 	return err
 }
 
-// ---- Decoding ----
-
 type frameReader struct {
 	buf []byte
 	pos int
+	err error
 }
 
-func (r *frameReader) take(n int) ([]byte, error) {
+// fail records the reader's first error.
+func (r *frameReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: %s", ErrMalformed, fmt.Sprintf(format, args...))
+	}
+}
+
+// take returns the next n bytes, or nil once the reader has failed.
+func (r *frameReader) take(n int) []byte {
+	if r.err != nil {
+		return nil
+	}
 	if n < 0 || r.pos+n > len(r.buf) {
-		return nil, fmt.Errorf("%w: payload truncated", ErrMalformed)
+		r.fail("payload truncated")
+		return nil
 	}
 	b := r.buf[r.pos : r.pos+n]
 	r.pos += n
-	return b, nil
+	return b
 }
 
-func (r *frameReader) u8() (uint8, error) {
-	b, err := r.take(1)
-	if err != nil {
-		return 0, err
+// unsigned reads a big-endian unsigned field of size bytes: zero once the
+// reader has failed.
+func (r *frameReader) unsigned(size int) (v uint64) {
+	for _, b := range r.take(size) {
+		v = v<<8 | uint64(b)
 	}
-	return b[0], nil
+	return v
 }
 
-func (r *frameReader) u16() (uint16, error) {
-	b, err := r.take(2)
-	if err != nil {
-		return 0, err
+func (r *frameReader) u8() uint8     { return uint8(r.unsigned(1)) }
+func (r *frameReader) u16() uint16   { return uint16(r.unsigned(2)) }
+func (r *frameReader) u32() uint32   { return uint32(r.unsigned(4)) }
+func (r *frameReader) u64() uint64   { return r.unsigned(8) }
+func (r *frameReader) f64() float64  { return math.Float64frombits(r.u64()) }
+func (r *frameReader) str8() string  { return string(r.take(int(r.u8()))) }
+func (r *frameReader) str16() string { return string(r.take(int(r.u16()))) }
+
+// more reports whether a trailing optional field follows.
+func (r *frameReader) more() bool { return r.err == nil && r.pos < len(r.buf) }
+
+// end fails a payload with bytes left over and returns the first error.
+func (r *frameReader) end() error {
+	if r.pos != len(r.buf) {
+		r.fail("%d trailing bytes", len(r.buf)-r.pos)
 	}
-	return binary.BigEndian.Uint16(b), nil
+	return r.err
 }
 
-func (r *frameReader) u32() (uint32, error) {
-	b, err := r.take(4)
-	if err != nil {
-		return 0, err
+// identity reads the session identity a Hello or a Handoff opens with. A
+// Hello's tenant and model are trailing optional: a pre-fleet Hello ends at
+// its channel list and decodes with both empty.
+func (r *frameReader) identity(f *Frame) {
+	f.SessionID = r.str8()
+	f.Priority = int(r.u8())
+	f.Channels = r.channels(f.Type.String())
+	if f.Type == FrameHandoff || r.more() {
+		f.Tenant = r.str8()
 	}
-	return binary.BigEndian.Uint32(b), nil
-}
-
-func (r *frameReader) u64() (uint64, error) {
-	b, err := r.take(8)
-	if err != nil {
-		return 0, err
+	if f.Type == FrameHandoff || r.more() {
+		f.Model = r.str8()
 	}
-	return binary.BigEndian.Uint64(b), nil
 }
 
-func (r *frameReader) f64() (float64, error) {
-	v, err := r.u64()
-	return math.Float64frombits(v), err
-}
-
-func (r *frameReader) str8() (string, error) {
-	n, err := r.u8()
-	if err != nil {
-		return "", err
+// channels reads a channel-spec list and validates it as a session layout:
+// at least one channel, and every channel with lanes and a finite positive
+// rate. what names the frame or record in the empty-layout error.
+func (r *frameReader) channels(what string) []ChannelSpec {
+	n := int(r.u8())
+	if n == 0 {
+		r.fail("%s with no channels", what)
 	}
-	b, err := r.take(int(n))
-	return string(b), err
+	var specs []ChannelSpec
+	for i := 0; i < n && r.err == nil; i++ {
+		ch := ChannelSpec{Name: r.str8(), Lanes: int(r.u8())}
+		if ch.Lanes == 0 {
+			r.fail("channel %q with zero lanes", ch.Name)
+		}
+		if ch.Rate = r.f64(); !(ch.Rate > 0) || math.IsInf(ch.Rate, 0) {
+			r.fail("channel %q rate %v", ch.Name, ch.Rate)
+		}
+		specs = append(specs, ch)
+	}
+	return specs
 }
 
-func (r *frameReader) str16() (string, error) {
-	n, err := r.u16()
-	if err != nil {
-		return "", err
+// commits reads a commit-point list.
+func (r *frameReader) commits() []uint64 {
+	n := int(r.u8())
+	var committed []uint64
+	for i := 0; i < n && r.err == nil; i++ {
+		committed = append(committed, r.u64())
 	}
-	b, err := r.take(int(n))
-	return string(b), err
+	return committed
+}
+
+// blob reads a length-prefixed byte string; an empty one reads as nil. The
+// result aliases the payload.
+func (r *frameReader) blob() []byte {
+	if b := r.take(int(r.u32())); len(b) > 0 {
+		return b
+	}
+	return nil
 }
 
 // ReadFrame reads and decodes one length-prefixed frame. A clean io.EOF at
@@ -508,323 +557,92 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 // prefix). Every structural failure wraps ErrMalformed.
 func DecodeFrame(payload []byte) (*Frame, error) {
 	r := &frameReader{buf: payload}
-	ver, err := r.u8()
-	if err != nil {
-		return nil, err
+	if ver := r.u8(); ver != Version {
+		r.fail("version %d, want %d", ver, Version)
 	}
-	if ver != Version {
-		return nil, fmt.Errorf("%w: version %d, want %d", ErrMalformed, ver, Version)
-	}
-	t, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	f := &Frame{Type: FrameType(t)}
+	f := &Frame{Type: FrameType(r.u8())}
 	switch f.Type {
 	case FrameHello:
-		if f.SessionID, err = r.str8(); err != nil {
-			return nil, err
-		}
-		prio, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		f.Priority = int(prio)
-		nch, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		if nch == 0 {
-			return nil, fmt.Errorf("%w: hello with no channels", ErrMalformed)
-		}
-		for i := 0; i < int(nch); i++ {
-			var ch ChannelSpec
-			if ch.Name, err = r.str8(); err != nil {
-				return nil, err
-			}
-			lanes, err := r.u8()
-			if err != nil {
-				return nil, err
-			}
-			if lanes == 0 {
-				return nil, fmt.Errorf("%w: channel %q with zero lanes", ErrMalformed, ch.Name)
-			}
-			ch.Lanes = int(lanes)
-			if ch.Rate, err = r.f64(); err != nil {
-				return nil, err
-			}
-			if !(ch.Rate > 0) || math.IsInf(ch.Rate, 0) {
-				return nil, fmt.Errorf("%w: channel %q rate %v", ErrMalformed, ch.Name, ch.Rate)
-			}
-			f.Channels = append(f.Channels, ch)
-		}
-		// Tenant and model are trailing optional fields: a pre-fleet Hello
-		// ends at the channel list and decodes with both empty.
-		if r.pos < len(r.buf) {
-			if f.Tenant, err = r.str8(); err != nil {
-				return nil, err
-			}
-		}
-		if r.pos < len(r.buf) {
-			if f.Model, err = r.str8(); err != nil {
-				return nil, err
-			}
-		}
-		if r.pos < len(r.buf) {
-			if f.Flags, err = r.u8(); err != nil {
-				return nil, err
-			}
+		r.identity(f)
+		if r.more() {
+			f.Flags = r.u8()
 		}
 	case FrameHelloAck:
-		nch, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < int(nch); i++ {
-			c, err := r.u64()
-			if err != nil {
-				return nil, err
+		f.Committed = r.commits()
+	case FrameData, FrameEOS:
+		f.Channel = int(r.u8())
+		f.Seq = r.u64()
+		if f.Type == FrameData {
+			b := r.take(8 * int(r.u32()))
+			if r.err == nil {
+				f.Values = make([]float64, len(b)/8)
+				for i := range f.Values {
+					f.Values[i] = math.Float64frombits(binary.BigEndian.Uint64(b[i*8:]))
+				}
 			}
-			f.Committed = append(f.Committed, c)
-		}
-	case FrameData:
-		ch, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		f.Channel = int(ch)
-		if f.Seq, err = r.u64(); err != nil {
-			return nil, err
-		}
-		nv, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		b, err := r.take(int(nv) * 8)
-		if err != nil {
-			return nil, err
-		}
-		f.Values = make([]float64, nv)
-		for i := range f.Values {
-			f.Values[i] = math.Float64frombits(binary.BigEndian.Uint64(b[i*8:]))
-		}
-	case FrameEOS:
-		ch, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		f.Channel = int(ch)
-		if f.Seq, err = r.u64(); err != nil {
-			return nil, err
 		}
 	case FrameFinish:
 		// no payload
 	case FrameVerdict:
-		v := &Verdict{}
-		flags, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		v.Intrusion = flags&1 != 0
-		if v.Reason, err = r.str16(); err != nil {
-			return nil, err
-		}
-		na, err := r.u16()
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < int(na); i++ {
-			var a VerdictAlert
-			if a.Time, err = r.f64(); err != nil {
-				return nil, err
-			}
-			votes, err := r.u8()
-			if err != nil {
-				return nil, err
-			}
-			healthy, err := r.u8()
-			if err != nil {
-				return nil, err
-			}
-			needed, err := r.u8()
-			if err != nil {
-				return nil, err
-			}
-			a.Votes, a.Healthy, a.Needed = int(votes), int(healthy), int(needed)
+		v := &Verdict{Intrusion: r.u8()&1 != 0, Reason: r.str16()}
+		na := int(r.u16())
+		for i := 0; i < na && r.err == nil; i++ {
+			a := VerdictAlert{Time: r.f64()}
+			a.Votes, a.Healthy, a.Needed = int(r.u8()), int(r.u8()), int(r.u8())
 			v.Alerts = append(v.Alerts, a)
 		}
-		nch, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < int(nch); i++ {
-			var ch VerdictChannel
-			if ch.Name, err = r.str8(); err != nil {
-				return nil, err
-			}
-			b, err := r.u8()
-			if err != nil {
-				return nil, err
-			}
-			ch.Quarantined = b&1 != 0
-			ch.Voting = b&2 != 0
-			if ch.Health, err = r.str8(); err != nil {
-				return nil, err
-			}
+		nch := int(r.u8())
+		for i := 0; i < nch && r.err == nil; i++ {
+			ch := VerdictChannel{Name: r.str8()}
+			b := r.u8()
+			ch.Quarantined, ch.Voting = b&1 != 0, b&2 != 0
+			ch.Health = r.str8()
 			v.Channels = append(v.Channels, ch)
 		}
 		f.Verdict = v
 	case FrameError:
-		if f.Message, err = r.str16(); err != nil {
-			return nil, err
-		}
+		f.Message = r.str16()
 	case FrameRedirect:
-		if f.Addr, err = r.str16(); err != nil {
-			return nil, err
-		}
+		f.Addr = r.str16()
 		// The peer index is trailing optional: a client built against the
 		// first redirect layout keeps decoding if later versions append more.
-		if r.pos < len(r.buf) {
-			p, err := r.u16()
-			if err != nil {
-				return nil, err
-			}
-			f.Peer = int(p)
+		if r.more() {
+			f.Peer = int(r.u16())
 		}
 	case FrameHandoff:
-		if f.SessionID, err = r.str8(); err != nil {
-			return nil, err
-		}
-		prio, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		f.Priority = int(prio)
-		nch, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		if nch == 0 {
-			return nil, fmt.Errorf("%w: handoff with no channels", ErrMalformed)
-		}
-		for i := 0; i < int(nch); i++ {
-			var ch ChannelSpec
-			if ch.Name, err = r.str8(); err != nil {
-				return nil, err
-			}
-			lanes, err := r.u8()
-			if err != nil {
-				return nil, err
-			}
-			if lanes == 0 {
-				return nil, fmt.Errorf("%w: channel %q with zero lanes", ErrMalformed, ch.Name)
-			}
-			ch.Lanes = int(lanes)
-			if ch.Rate, err = r.f64(); err != nil {
-				return nil, err
-			}
-			if !(ch.Rate > 0) || math.IsInf(ch.Rate, 0) {
-				return nil, fmt.Errorf("%w: channel %q rate %v", ErrMalformed, ch.Name, ch.Rate)
-			}
-			f.Channels = append(f.Channels, ch)
-		}
-		if f.Tenant, err = r.str8(); err != nil {
-			return nil, err
-		}
-		if f.Model, err = r.str8(); err != nil {
-			return nil, err
-		}
-		ncom, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < int(ncom); i++ {
-			c, err := r.u64()
-			if err != nil {
-				return nil, err
-			}
-			f.Committed = append(f.Committed, c)
-		}
-		nb, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		b, err := r.take(int(nb))
-		if err != nil {
-			return nil, err
-		}
-		if len(b) > 0 {
-			f.Blob = b
-		}
+		r.identity(f)
+		f.Committed = r.commits()
+		f.Blob = r.blob()
 	case FrameHandoffAck:
-		if f.SessionID, err = r.str8(); err != nil {
-			return nil, err
-		}
-		if f.Message, err = r.str16(); err != nil {
-			return nil, err
-		}
+		f.SessionID = r.str8()
+		f.Message = r.str16()
 	case FrameModelFetch:
-		if f.Model, err = r.str8(); err != nil {
-			return nil, err
-		}
+		f.Model = r.str8()
 	case FrameModelData:
-		if f.Model, err = r.str8(); err != nil {
-			return nil, err
-		}
-		if f.Seq, err = r.u64(); err != nil {
-			return nil, err
-		}
-		last, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
+		f.Model = r.str8()
+		f.Seq = r.u64()
+		last := r.u8()
 		if last > 1 {
-			return nil, fmt.Errorf("%w: model data last flag %d", ErrMalformed, last)
+			r.fail("model data last flag %d", last)
 		}
 		f.Last = last == 1
-		nb, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		b, err := r.take(int(nb))
-		if err != nil {
-			return nil, err
-		}
-		if len(b) > 0 {
-			f.Blob = b
-		}
+		f.Blob = r.blob()
 	case FramePing, FramePong:
-		p, err := r.u16()
-		if err != nil {
-			return nil, err
-		}
-		f.Peer = int(p)
-		nu, err := r.u16()
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < int(nu); i++ {
-			var u TenantUsage
-			if u.Tenant, err = r.str8(); err != nil {
-				return nil, err
-			}
-			s, err := r.u32()
-			if err != nil {
-				return nil, err
-			}
-			u.Sessions = int(s)
+		f.Peer = int(r.u16())
+		nu := int(r.u16())
+		for i := 0; i < nu && r.err == nil; i++ {
+			u := TenantUsage{Tenant: r.str8()}
+			u.Sessions = int(r.u32())
 			f.Usage = append(f.Usage, u)
 		}
-		if r.pos < len(r.buf) {
-			if f.Flags, err = r.u8(); err != nil {
-				return nil, err
-			}
+		if r.more() {
+			f.Flags = r.u8()
 		}
 	default:
-		return nil, fmt.Errorf("%w: unknown frame type %d", ErrMalformed, t)
+		r.fail("unknown frame type %d", f.Type)
 	}
-	if r.pos != len(r.buf) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(r.buf)-r.pos)
+	if err := r.end(); err != nil {
+		return nil, err
 	}
 	return f, nil
 }

@@ -37,9 +37,9 @@ const (
 	// maxJournalRecord bounds a single record payload; anything larger on
 	// replay is treated as a torn tail, not trusted as a length.
 	maxJournalRecord = 8 << 20
-	// maxJournalState bounds the monitor-state blob inside a snapshot.
-	// Oversize captures are journaled without state (committed counts only)
-	// so recovery still resumes the transport, just from a fresh detector.
+	// maxJournalState bounds the monitor-state blob inside a snapshot. An
+	// oversize capture is journaled without state, and an image without
+	// state restarts its session at sample 0 (see Recover).
 	maxJournalState = 4 << 20
 )
 
@@ -98,37 +98,12 @@ func (c JournalConfig) withDefaults() JournalConfig {
 	return c
 }
 
-// RecoveredSession is one journaled session reconstructed on boot: its
-// admission identity plus the last durable snapshot's resume point. A
-// session journaled before its first snapshot recovers with zero committed
-// counts and nil State — the client simply re-sends from the start.
-type RecoveredSession struct {
-	SessionID string
-	Tenant    string
-	// Model is the content-addressed detector version the session was
-	// pinned to at admission (empty: the pool default).
-	Model    string
-	Priority int
-	Channels []ChannelSpec
-	// Committed holds the per-channel durable commit points, already
-	// rolled back to the last snapshot.
-	Committed []uint64
-	// State is the gob-encoded core.FusedMonitorState captured at the
-	// snapshot, nil if the session never snapshotted monitor state.
-	State []byte
-}
-
-// journalSession is the in-memory image of one live (admitted, unfinished)
-// session: the raw record payloads re-emitted as the checkpoint when the
-// journal rotates, plus the decoded admission identity.
+// journalSession is one live (admitted, unfinished) session's raw record
+// payloads: re-emitted as the checkpoint when the journal rotates, and
+// decoded into the session's image on demand.
 type journalSession struct {
 	admitRaw []byte
 	snapRaw  []byte // latest snapshot payload, nil before the first
-
-	tenant   string
-	model    string
-	priority int
-	specs    []ChannelSpec
 }
 
 // Journal is a checksummed, segmented, append-only session journal. Every
@@ -162,10 +137,11 @@ type Journal struct {
 }
 
 // OpenJournal opens (creating if needed) the session journal in dir,
-// replays every existing segment, and returns the sessions that were live
-// at the time of the crash or shutdown. The replayed state is immediately
-// compacted into a fresh durable segment and the old segments are deleted.
-func OpenJournal(dir string, cfg JournalConfig) (*Journal, []RecoveredSession, error) {
+// replays every existing segment, and returns the images of the sessions
+// that were live at the time of the crash or shutdown, for Recover. The
+// replayed state is immediately compacted into a fresh durable segment and
+// the old segments are deleted.
+func OpenJournal(dir string, cfg JournalConfig) (*Journal, []*Frame, error) {
 	cfg = cfg.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("ingest: journal: %w", err)
@@ -198,12 +174,7 @@ func OpenJournal(dir string, cfg JournalConfig) (*Journal, []RecoveredSession, e
 		j.syncDone = make(chan struct{})
 		go j.syncLoop()
 	}
-	recovered := make([]RecoveredSession, 0, len(j.live))
-	for id, js := range j.live {
-		recovered = append(recovered, js.recovered(id))
-	}
-	sort.Slice(recovered, func(a, b int) bool { return recovered[a].SessionID < recovered[b].SessionID })
-	return j, recovered, nil
+	return j, j.ExportLive(), nil
 }
 
 // Close flushes, fsyncs, and closes the journal. Appends after Close are
@@ -239,49 +210,33 @@ func (j *Journal) Close() error {
 
 // Admit journals a session's admission identity.
 func (j *Journal) Admit(id, tenant, model string, priority int, specs []ChannelSpec) {
-	var w frameWriter
+	w := &frameWriter{}
 	w.u8(recAdmit)
 	w.str8(id)
 	w.str8(tenant)
 	w.str8(model)
-	w.u8(uint8(priority))
-	w.u8(uint8(len(specs)))
-	for _, ch := range specs {
-		w.str8(ch.Name)
-		w.u8(uint8(ch.Lanes))
-		w.f64(ch.Rate)
-	}
-	j.append(w.buf, func() {
-		j.live[id] = &journalSession{
-			admitRaw: w.buf,
-			tenant:   tenant,
-			model:    model,
-			priority: priority,
-			specs:    append([]ChannelSpec(nil), specs...),
-		}
-	})
+	w.n8(priority)
+	w.channels(specs)
+	j.append(id, w, func() { j.live[id] = &journalSession{admitRaw: w.buf} })
 }
 
 // Snapshot journals a session's durable resume point: the per-channel
 // committed counts plus an optional monitor-state blob. Oversize state is
-// dropped (committed counts still land) so one runaway capture cannot
-// wedge the journal.
+// dropped so one runaway capture cannot wedge the journal; the committed
+// counts still land, but without state recovery starts the session at
+// sample 0.
 func (j *Journal) Snapshot(id string, committed []uint64, state []byte) {
 	if len(state) > maxJournalState {
 		j.logf("journal: session %s: %d-byte state exceeds %d-byte cap; journaling committed counts only",
 			id, len(state), maxJournalState)
 		state = nil
 	}
-	var w frameWriter
+	w := &frameWriter{}
 	w.u8(recSnapshot)
 	w.str8(id)
-	w.u8(uint8(len(committed)))
-	for _, c := range committed {
-		w.u64(c)
-	}
-	w.u32(uint32(len(state)))
-	w.buf = append(w.buf, state...)
-	j.append(w.buf, func() {
+	w.commits(committed)
+	w.blob(state)
+	j.append(id, w, func() {
 		if js, ok := j.live[id]; ok {
 			js.snapRaw = w.buf
 			j.snapshots++
@@ -292,32 +247,33 @@ func (j *Journal) Snapshot(id string, committed []uint64, state []byte) {
 // Detach journals a client disconnect (informational: recovery treats
 // every unfinished session as detached).
 func (j *Journal) Detach(id string) {
-	var w frameWriter
+	w := &frameWriter{}
 	w.u8(recDetach)
 	w.str8(id)
-	j.append(w.buf, nil)
+	j.append(id, w, nil)
 }
 
 // Finish journals a session's completion, releasing it from compaction.
 func (j *Journal) Finish(id string) {
-	var w frameWriter
+	w := &frameWriter{}
 	w.u8(recFinish)
 	w.str8(id)
-	j.append(w.buf, func() { delete(j.live, id) })
+	j.append(id, w, func() { delete(j.live, id) })
 }
 
-// ExportLive snapshots every live (admitted, unfinished) session's durable
-// resume point, sorted by session id. It reads under the journal's own
-// mutex — the rotation lock — so an exporter racing a rotation sees either
-// the pre- or post-compaction live map, never a half-compacted one, and no
-// segment retirement can invalidate what it read (the returned records are
-// copies, not references into segment files).
-func (j *Journal) ExportLive() []RecoveredSession {
+// ExportLive returns every live (admitted, unfinished) session's image,
+// sorted by session id: the Handoff frame that carries its identity and
+// durable resume point. It reads under the journal's own mutex — the
+// rotation lock — so an exporter racing a rotation sees either the pre- or
+// post-compaction live map, never a half-compacted one. The images decode
+// the journal's in-memory record copies, never segment files, so no
+// segment retirement can invalidate them.
+func (j *Journal) ExportLive() []*Frame {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]RecoveredSession, 0, len(j.live))
-	for id, js := range j.live {
-		out = append(out, js.recovered(id))
+	out := make([]*Frame, 0, len(j.live))
+	for _, js := range j.live {
+		out = append(out, js.image())
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].SessionID < out[b].SessionID })
 	return out
@@ -331,9 +287,15 @@ func (j *Journal) Snapshots() int {
 	return j.snapshots
 }
 
-// append frames payload, writes it through to the segment file, applies
-// the live-map update, and handles rotation and the sync policy.
-func (j *Journal) append(payload []byte, apply func()) {
+// append frames the record w encoded, writes it through to the segment
+// file, applies the live-map update, and handles rotation and the sync
+// policy. A record that did not encode is logged and skipped.
+func (j *Journal) append(id string, w *frameWriter, apply func()) {
+	if w.err != nil {
+		j.logf("journal: session %s: record not journaled: %v", id, w.err)
+		return
+	}
+	payload := w.buf
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
@@ -407,7 +369,7 @@ func (j *Journal) rotateLocked() error {
 		f.Close()
 		return err
 	}
-	prevF, prevW, prevSize := j.f, j.w, j.size
+	prevF, prevW := j.f, j.w
 	j.f, j.w, j.size = f, w, int64(len(journalMagic))+4
 	j.seq++
 	ids := make([]string, 0, len(j.live))
@@ -442,7 +404,6 @@ func (j *Journal) rotateLocked() error {
 		if err := os.Remove(old); err != nil {
 			j.logf("journal: remove %s: %v", old, err)
 		}
-		_ = prevSize
 	}
 	return nil
 }
@@ -523,8 +484,8 @@ func (j *Journal) replaySegment(path string) {
 			j.logf("journal: %s: checksum mismatch at %d; dropping tail", filepath.Base(path), pos)
 			return
 		}
-		if !j.applyReplayed(payload) {
-			j.logf("journal: %s: undecodable record at %d; dropping tail", filepath.Base(path), pos)
+		if err := j.applyReplayed(payload); err != nil {
+			j.logf("journal: %s: undecodable record at %d (%v); dropping tail", filepath.Base(path), pos, err)
 			return
 		}
 		pos += 8 + n
@@ -532,123 +493,63 @@ func (j *Journal) replaySegment(path string) {
 }
 
 // applyReplayed decodes one verified record payload into the live map.
-func (j *Journal) applyReplayed(payload []byte) bool {
-	r := frameReader{buf: payload}
-	typ, err := r.u8()
+func (j *Journal) applyReplayed(payload []byte) error {
+	var f Frame
+	typ, err := decodeRecord(payload, &f)
 	if err != nil {
-		return false
+		return err
 	}
 	switch typ {
 	case recAdmit:
-		id, err := r.str8()
-		if err != nil {
-			return false
-		}
-		tenant, err := r.str8()
-		if err != nil {
-			return false
-		}
-		model, err := r.str8()
-		if err != nil {
-			return false
-		}
-		prio, err := r.u8()
-		if err != nil {
-			return false
-		}
-		nch, err := r.u8()
-		if err != nil {
-			return false
-		}
-		specs := make([]ChannelSpec, nch)
-		for i := range specs {
-			if specs[i].Name, err = r.str8(); err != nil {
-				return false
-			}
-			lanes, err := r.u8()
-			if err != nil {
-				return false
-			}
-			specs[i].Lanes = int(lanes)
-			if specs[i].Rate, err = r.f64(); err != nil {
-				return false
-			}
-		}
-		j.live[id] = &journalSession{
-			admitRaw: append([]byte(nil), payload...),
-			tenant:   tenant,
-			model:    model,
-			priority: int(prio),
-			specs:    specs,
-		}
+		j.live[f.SessionID] = &journalSession{admitRaw: append([]byte(nil), payload...)}
 	case recSnapshot:
-		id, err := r.str8()
-		if err != nil {
-			return false
-		}
-		// Validate the rest of the payload so a corrupt-but-checksummed
-		// record cannot surface at Recover time.
-		nch, err := r.u8()
-		if err != nil {
-			return false
-		}
-		for i := 0; i < int(nch); i++ {
-			if _, err := r.u64(); err != nil {
-				return false
-			}
-		}
-		stateLen, err := r.u32()
-		if err != nil {
-			return false
-		}
-		if _, err := r.take(int(stateLen)); err != nil {
-			return false
-		}
-		if js, ok := j.live[id]; ok {
+		if js, ok := j.live[f.SessionID]; ok {
 			js.snapRaw = append([]byte(nil), payload...)
 		}
-	case recDetach, recFinish:
-		id, err := r.str8()
-		if err != nil {
-			return false
-		}
-		if typ == recFinish {
-			delete(j.live, id)
-		}
-	default:
-		return false
+	case recFinish:
+		delete(j.live, f.SessionID)
 	}
-	return true
+	return nil
 }
 
-// recovered decodes the session's durable resume point.
-func (js *journalSession) recovered(id string) RecoveredSession {
-	rs := RecoveredSession{
-		SessionID: id,
-		Tenant:    js.tenant,
-		Model:     js.model,
-		Priority:  js.priority,
-		Channels:  append([]ChannelSpec(nil), js.specs...),
-		Committed: make([]uint64, len(js.specs)),
+// decodeRecord decodes one journal record payload: it returns the record
+// type and sets the image fields the record carries in f — the session id
+// from every record, identity and channels from an admit, commit points and
+// state from a snapshot. Replay validation and image recovery both call it,
+// so replay accepts exactly the records recovery can decode.
+func decodeRecord(payload []byte, f *Frame) (uint8, error) {
+	r := &frameReader{buf: payload}
+	typ := r.u8()
+	f.SessionID = r.str8()
+	switch typ {
+	case recAdmit:
+		f.Tenant = r.str8()
+		f.Model = r.str8()
+		f.Priority = int(r.u8())
+		f.Channels = r.channels("admit")
+	case recSnapshot:
+		f.Committed = r.commits()
+		f.Blob = r.blob()
+	case recDetach, recFinish:
+	default:
+		r.fail("unknown record type %d", typ)
 	}
-	if js.snapRaw == nil {
-		return rs
+	return typ, r.end()
+}
+
+// image decodes the session's image from its raw records. Its commit points
+// are sized to the channel list: zero before the first snapshot. The state
+// aliases the snapshot payload, which is never modified once stored.
+func (js *journalSession) image() *Frame {
+	f := &Frame{Type: FrameHandoff}
+	decodeRecord(js.admitRaw, f) //nolint:errcheck // validated by replay, or written by Admit from a decoded layout
+	if js.snapRaw != nil {
+		decodeRecord(js.snapRaw, f) //nolint:errcheck // likewise
 	}
-	r := frameReader{buf: js.snapRaw}
-	r.u8()   //nolint:errcheck // type byte, validated on replay
-	r.str8() //nolint:errcheck // id, validated on replay
-	nch, _ := r.u8()
-	for i := 0; i < int(nch); i++ {
-		c, _ := r.u64()
-		if i < len(rs.Committed) {
-			rs.Committed[i] = c
-		}
-	}
-	stateLen, _ := r.u32()
-	if state, err := r.take(int(stateLen)); err == nil && len(state) > 0 {
-		rs.State = append([]byte(nil), state...)
-	}
-	return rs
+	committed := make([]uint64, len(f.Channels))
+	copy(committed, f.Committed)
+	f.Committed = committed
+	return f
 }
 
 func (j *Journal) logf(format string, args ...any) {

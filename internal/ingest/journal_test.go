@@ -2,6 +2,8 @@ package ingest
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,7 +15,7 @@ func testSpecs() []ChannelSpec {
 	return []ChannelSpec{{Name: "ACC", Lanes: 2, Rate: 100}, {Name: "MAG", Lanes: 1, Rate: 100}}
 }
 
-func openTestJournal(t *testing.T, dir string, cfg JournalConfig) (*Journal, []RecoveredSession) {
+func openTestJournal(t *testing.T, dir string, cfg JournalConfig) (*Journal, []*Frame) {
 	t.Helper()
 	cfg.Logf = t.Logf
 	j, rec, err := OpenJournal(dir, cfg)
@@ -60,13 +62,13 @@ func TestJournalRoundTrip(t *testing.T) {
 
 	j2, rec := openTestJournal(t, dir, JournalConfig{})
 	defer j2.Close()
-	want := []RecoveredSession{
+	want := []*Frame{
 		{
-			SessionID: "print-1", Tenant: "acme", Model: "abc123def456", Priority: 3,
-			Channels: testSpecs(), Committed: []uint64{400, 200}, State: []byte("state-v2-longer"),
+			Type: FrameHandoff, SessionID: "print-1", Tenant: "acme", Model: "abc123def456", Priority: 3,
+			Channels: testSpecs(), Committed: []uint64{400, 200}, Blob: []byte("state-v2-longer"),
 		},
 		{
-			SessionID: "print-2", Channels: testSpecs()[:1], Committed: []uint64{0},
+			Type: FrameHandoff, SessionID: "print-2", Channels: testSpecs()[:1], Committed: []uint64{0},
 		},
 	}
 	if !reflect.DeepEqual(rec, want) {
@@ -99,7 +101,7 @@ func TestJournalTornTail(t *testing.T) {
 		}
 		j, rec := openTestJournal(t, dir, JournalConfig{})
 		defer j.Close()
-		if len(rec) != 1 || !reflect.DeepEqual(rec[0].Committed, []uint64{100, 50}) || string(rec[0].State) != "early" {
+		if len(rec) != 1 || !reflect.DeepEqual(rec[0].Committed, []uint64{100, 50}) || string(rec[0].Blob) != "early" {
 			t.Fatalf("want rollback to the early snapshot, got %+v", rec)
 		}
 	})
@@ -113,7 +115,7 @@ func TestJournalTornTail(t *testing.T) {
 		}
 		j, rec := openTestJournal(t, dir, JournalConfig{})
 		defer j.Close()
-		if len(rec) != 1 || string(rec[0].State) != "early" {
+		if len(rec) != 1 || string(rec[0].Blob) != "early" {
 			t.Fatalf("want rollback to the early snapshot, got %+v", rec)
 		}
 	})
@@ -137,7 +139,7 @@ func TestJournalTornTail(t *testing.T) {
 		if len(rec) != 1 {
 			t.Fatalf("recovered %d sessions, want 1", len(rec))
 		}
-		if rec[0].State != nil || !reflect.DeepEqual(rec[0].Committed, []uint64{0, 0}) {
+		if rec[0].Blob != nil || !reflect.DeepEqual(rec[0].Committed, []uint64{0, 0}) {
 			t.Fatalf("want a fresh (snapshot-less) recovery, got %+v", rec[0])
 		}
 	})
@@ -291,4 +293,60 @@ func TestJournalExportLiveDuringRotation(t *testing.T) {
 	}
 	close(stop)
 	<-done
+}
+
+// FuzzJournalReplay boots a journal from a segment of fuzzed records. The
+// input is a sequence of records, each a u16 length and that many payload
+// bytes (a short last record takes what is left); each is framed with a
+// valid length and checksum, so replay must decode every payload rather
+// than stop at the framing. Boot must never panic or fail, and every image
+// it recovers must encode as a Handoff frame that decodes back to itself.
+func FuzzJournalReplay(f *testing.F) {
+	for _, name := range []string{"journal.wal", "checkpoint.wal"} {
+		seg, err := os.ReadFile(filepath.Join(goldenDir, name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		var input []byte
+		for pos := len(journalMagic) + 4; pos+8 <= len(seg); {
+			n := int(binary.BigEndian.Uint32(seg[pos:]))
+			input = binary.BigEndian.AppendUint16(input, uint16(n))
+			input = append(input, seg[pos+8:pos+8+n]...)
+			pos += 8 + n
+		}
+		f.Add(input)
+	}
+	f.Fuzz(func(t *testing.T, records []byte) {
+		seg := binary.BigEndian.AppendUint32([]byte(journalMagic), journalVersion)
+		for len(records) >= 2 {
+			n := min(int(binary.BigEndian.Uint16(records)), len(records)-2)
+			payload := records[2 : 2+n]
+			records = records[2+n:]
+			seg = binary.BigEndian.AppendUint32(seg, uint32(len(payload)))
+			seg = binary.BigEndian.AppendUint32(seg, crc32.Checksum(payload, journalCRC))
+			seg = append(seg, payload...)
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "journal-00000000.wal"), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, images, err := OpenJournal(dir, JournalConfig{SyncMode: JournalSyncNone})
+		if err != nil {
+			t.Fatalf("boot failed: %v", err)
+		}
+		defer j.Close() //nolint:errcheck // test teardown
+		for _, img := range images {
+			buf, err := AppendFrame(nil, img)
+			if err != nil {
+				t.Fatalf("image does not encode: %v\nimage: %+v", err, img)
+			}
+			got, err := ReadFrame(bytes.NewReader(buf))
+			if err != nil {
+				t.Fatalf("image does not decode: %v\nimage: %+v", err, img)
+			}
+			if !reflect.DeepEqual(got, img) {
+				t.Fatalf("image round trip:\n got %+v\nwant %+v", got, img)
+			}
+		}
+	})
 }

@@ -103,7 +103,7 @@ func TestCrashRecoveryResumesSession(t *testing.T) {
 	if !reflect.DeepEqual(rs.Channels, fx.specs) {
 		t.Fatalf("recovered channel layout %+v, want %+v", rs.Channels, fx.specs)
 	}
-	if len(rs.State) == 0 {
+	if len(rs.Blob) == 0 {
 		t.Fatal("no monitor state journaled")
 	}
 	if rs.Committed[0] == 0 && rs.Committed[1] == 0 {
@@ -249,11 +249,11 @@ func TestRecoverRestoreFailureReleasesReservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := RecoveredSession{
-		SessionID: "victim", Tenant: "plant-1", Model: "feedfacefeed",
+	rs := &Frame{
+		Type: FrameHandoff, SessionID: "victim", Tenant: "plant-1", Model: "feedfacefeed",
 		Priority: 3, Channels: fx.specs, Committed: []uint64{100, 100},
 	}
-	if n := srv.Recover([]RecoveredSession{rs}, pool); n != 0 {
+	if n := srv.Recover([]*Frame{rs}, pool); n != 0 {
 		t.Fatalf("Recover() = %d, want 0 (model cannot restore)", n)
 	}
 	// The tenant's single quota slot must be free again, immediately.
@@ -264,5 +264,84 @@ func TestRecoverRestoreFailureReleasesReservation(t *testing.T) {
 	tenants.release(tn, false)
 	if got := srv.SessionCount(); got != 0 {
 		t.Fatalf("SessionCount() = %d after failed recovery, want 0", got)
+	}
+}
+
+// TestRecoverStatelessImageStartsAtSampleZero: a journal snapshot without
+// detector state (its capture failed, or outgrew the state cap) still
+// records commit points. Recovery must not resume there: DWM aligns the
+// observed signal from the start of the print, so a fresh detector fed only
+// the tail judges a misaligned signal. The session starts at sample 0
+// instead, its HelloAck says so, and the client re-streams the print into
+// the fresh detector: the verdicts match a never-faulted run's.
+func TestRecoverStatelessImageStartsAtSampleZero(t *testing.T) {
+	fx := fixture(t)
+	pool := NewSharedPool(nil)
+	version, err := pool.Register(fixtureModel(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(55))
+	prints := map[string][]*sigproc.Signal{
+		"benign": {perturbed(rng, fx.refs[0]), perturbed(rng, fx.refs[1])},
+		"attack": {perturbed(rng, fx.refs[0]), attacked(rng, fx.refs[1])},
+	}
+	if fx.inProcessVerdict(t, 1, prints["benign"]) || !fx.inProcessVerdict(t, 1, prints["attack"]) {
+		t.Fatal("fixture: in-process verdicts are not (benign, attack)")
+	}
+
+	dir := t.TempDir()
+	j, _ := openTestJournal(t, dir, JournalConfig{})
+	for id := range prints {
+		j.Admit(id, "", version, 5, fx.specs)
+		j.Snapshot(id, []uint64{1200, 1200}, nil) // 1,200 of 2,000 samples, no state
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2, rec := openTestJournal(t, dir, JournalConfig{})
+	defer j2.Close() //nolint:errcheck // test teardown
+	srv, err := NewServer(Config{
+		Factory: pool, Journal: j2, ReadTimeout: 20 * time.Second, Retention: time.Minute, Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := srv.Recover(rec, pool); n != 2 {
+		t.Fatalf("Recover() = %d, want 2", n)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(l) }()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		if err := <-serveErr; err != nil {
+			t.Errorf("serve: %v", err)
+		}
+	})
+
+	c, err := Dial(l.Addr().String(), fx.hello("benign", 5), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close() //nolint:errcheck // probing connection only
+	if !reflect.DeepEqual(c.Committed, []uint64{0, 0}) {
+		t.Errorf("HelloAck committed %v, want [0 0]: without detector state the session starts at sample 0", c.Committed)
+	}
+	for _, id := range []string{"benign", "attack"} {
+		v, err := Replay(l.Addr().String(), fx.hello(id, 5), prints[id], ReplayOptions{FrameSamples: 50})
+		if err != nil {
+			t.Fatalf("%s: replay: %v", id, err)
+		}
+		if want := id == "attack"; v.Intrusion != want {
+			t.Errorf("%s: recovered session verdict intrusion=%v, never-faulted verdict %v", id, v.Intrusion, want)
+		}
 	}
 }

@@ -491,27 +491,23 @@ func (srv *Server) journalAdmit(s *session) {
 	j.Admit(s.id, s.tenantID, s.modelVersion(), s.priority, s.specs)
 }
 
-// exportSessions captures every live session for a drain and serializes its
-// resume point: each worker is asked for a consistent capture (committed
-// counts + monitor state at one instant); a worker that cannot reply within
-// timeout falls back to the session's last durable journal snapshot — stale
-// but migratable. A session that has ended, or is ending here, is never
-// captured, so never exported. The caller resolves each exported session
-// with evAck or evRefuse. Sessions whose sink holds no serializable state
-// migrate with zeroed commit points: the client rewinds to frame 0 and
-// resends, so the successor's fresh detector sees the whole stream and the
-// verdict stays correct (this deliberately differs from the journal's
-// keep-committed policy, which only has to survive a restart of the same
-// process with the same sink).
+// exportSessions captures every live session for a drain as its image:
+// each worker is asked for a consistent capture (committed counts + monitor
+// state at one instant); a worker that cannot reply within timeout falls
+// back to the session's journal image — stale but migratable. A session
+// that has ended, or is ending here, is never captured, so never exported.
+// The caller resolves each exported session with evAck or evRefuse. Whether
+// an image resumes at its commit points is Recover's rule, and whether its
+// state fits a frame is encodeHandoff's.
 func (srv *Server) exportSessions(timeout time.Duration) []handoffSession {
 	sessions := srv.sessionList()
 	// One journal pass up front: ExportLive snapshots the live-session set
 	// under the journal's rotation lock, so a concurrent rotation cannot
 	// yank a segment out from under the per-session fallback reads below.
-	fallback := map[string]RecoveredSession{}
+	fallback := map[string]*Frame{}
 	if j := srv.cfg.Journal; j != nil {
-		for _, rs := range j.ExportLive() {
-			fallback[rs.SessionID] = rs
+		for _, img := range j.ExportLive() {
+			fallback[img.SessionID] = img
 		}
 	}
 	var out []handoffSession
@@ -519,36 +515,20 @@ func (srv *Server) exportSessions(timeout time.Duration) []handoffSession {
 		if _, ok := s.step(event{kind: evCapture}); !ok {
 			continue
 		}
-		cap, err := s.exportState(timeout)
-		if err != nil {
-			if rs, ok := fallback[s.id]; ok {
-				srv.logf("session %s: live capture failed (%v); exporting last journal snapshot", s.id, err)
-				out = append(out, handoffSession{RecoveredSession: rs, sess: s})
-			} else {
-				srv.logf("session %s: export failed (%v), no journal fallback; draining locally", s.id, err)
-				s.step(event{kind: evRefuse})
+		img := fallback[s.id]
+		if cap, err := s.exportState(timeout); err == nil {
+			img = &Frame{
+				Type: FrameHandoff, SessionID: s.id, Priority: s.priority, Channels: s.specs,
+				Tenant: s.tenantID, Model: s.modelVersion(), Committed: cap.committed, Blob: cap.state,
 			}
+		} else if img != nil {
+			srv.logf("session %s: live capture failed (%v); exporting last journal snapshot", s.id, err)
+		} else {
+			srv.logf("session %s: export failed (%v), no journal fallback; draining locally", s.id, err)
+			s.step(event{kind: evRefuse})
 			continue
 		}
-		rs := RecoveredSession{
-			SessionID: s.id,
-			Tenant:    s.tenantID,
-			Model:     s.modelVersion(),
-			Priority:  s.priority,
-			Channels:  append([]ChannelSpec(nil), s.specs...),
-			Committed: cap.committed,
-			State:     cap.state,
-		}
-		if len(rs.State) == 0 || len(rs.State) > MaxFramePayload-1024 {
-			// Stateless capture (plain sink) or a state too big for one
-			// Handoff frame: migrate identity only and restart the stream.
-			if len(rs.State) > 0 {
-				srv.logf("session %s: %d-byte state exceeds handoff frame; migrating without state", s.id, len(rs.State))
-			}
-			rs.State = nil
-			rs.Committed = make([]uint64, len(rs.Channels))
-		}
-		out = append(out, handoffSession{RecoveredSession: rs, sess: s})
+		out = append(out, handoffSession{img, s})
 	}
 	return out
 }

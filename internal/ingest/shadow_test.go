@@ -342,20 +342,20 @@ func TestSharedPoolShadowJournalsPrimary(t *testing.T) {
 		t.Fatalf("exported %d sessions, want 1", len(exported))
 	}
 	exported[0].sess.step(event{kind: evRefuse}) // no successor: the session stays here
-	var journaled RecoveredSession
+	var journaled *Frame
 	waitFor(t, 5*time.Second, func() bool {
 		live := j.ExportLive()
 		if len(live) != 1 {
 			return false
 		}
 		journaled = live[0]
-		return bytes.Equal(journaled.State, primaryState)
+		return bytes.Equal(journaled.Blob, primaryState)
 	})
-	for name, rs := range map[string]RecoveredSession{"journal": journaled, "export": exported[0].RecoveredSession} {
+	for name, rs := range map[string]*Frame{"journal": journaled, "export": exported[0].Frame} {
 		if rs.Model != v1 {
 			t.Errorf("%s records model %q, want the primary's %s", name, rs.Model, v1)
 		}
-		if !bytes.Equal(rs.State, primaryState) {
+		if !bytes.Equal(rs.Blob, primaryState) {
 			t.Errorf("%s records a state other than the primary's", name)
 		}
 	}
