@@ -94,10 +94,13 @@ type Hello struct {
 
 // Client is one connection's worth of framed-protocol state. Reconnecting
 // means Dial-ing a new Client with the same session id and resuming from
-// the committed counts the HelloAck reports.
+// the committed counts the HelloAck reports. One goroutine uses a Client at
+// a time, as Replay does: SendData, SendEOS and Finish encode into one
+// reused buffer.
 type Client struct {
 	conn net.Conn
 	br   *bufio.Reader
+	buf  []byte // the reused encode buffer
 	// Committed is the server's per-channel committed sample count at
 	// handshake time — the resume point.
 	Committed []uint64
@@ -152,15 +155,26 @@ func Dial(addr string, h Hello, timeout time.Duration) (*Client, error) {
 	}
 }
 
+// send encodes f into the client's buffer and writes it as one frame.
+func (c *Client) send(f *Frame) error {
+	buf, err := AppendFrame(c.buf[:0], f)
+	if err != nil {
+		return err
+	}
+	c.buf = buf
+	_, err = c.conn.Write(buf)
+	return err
+}
+
 // SendData sends one data frame: lane-interleaved values for channel ch
 // whose first sample has stream index seq.
 func (c *Client) SendData(ch int, seq uint64, values []float64) error {
-	return WriteFrame(c.conn, &Frame{Type: FrameData, Channel: ch, Seq: seq, Values: values})
+	return c.send(&Frame{Type: FrameData, Channel: ch, Seq: seq, Values: values})
 }
 
 // SendEOS declares channel ch's total sample count.
 func (c *Client) SendEOS(ch int, total uint64) error {
-	return WriteFrame(c.conn, &Frame{Type: FrameEOS, Channel: ch, Seq: total})
+	return c.send(&Frame{Type: FrameEOS, Channel: ch, Seq: total})
 }
 
 // Finish asks for the final verdict and waits for it.
@@ -168,7 +182,7 @@ func (c *Client) Finish(timeout time.Duration) (*Verdict, error) {
 	if timeout <= 0 {
 		timeout = 30 * time.Second
 	}
-	if err := WriteFrame(c.conn, &Frame{Type: FrameFinish}); err != nil {
+	if err := c.send(&Frame{Type: FrameFinish}); err != nil {
 		return nil, err
 	}
 	c.conn.SetReadDeadline(time.Now().Add(timeout)) //nolint:errcheck // net.Conn deadlines

@@ -17,6 +17,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
+
+	"nsync/internal/scratch"
 )
 
 // Version is the wire protocol version carried in every frame.
@@ -311,10 +314,13 @@ func (w *frameWriter) blob(b []byte) {
 }
 
 // AppendFrame appends the encoded frame (length prefix included) to dst and
-// returns the extended slice. A field that does not fit its wire width, or a
-// payload over MaxFramePayload, fails the encode with ErrMalformed.
+// returns the extended slice. It encodes in place: it reserves the prefix,
+// writes the fields after it and then fills it in, so a dst with room for
+// the frame costs no allocation. A field that does not fit its wire width,
+// or a payload over MaxFramePayload, fails the encode with ErrMalformed.
 func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
-	w := &frameWriter{buf: make([]byte, 0, 64+8*len(f.Values)+len(f.Blob))}
+	start := len(dst)
+	w := &frameWriter{buf: append(dst, 0, 0, 0, 0)}
 	w.u8(Version)
 	w.u8(uint8(f.Type))
 	switch f.Type {
@@ -392,14 +398,15 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 	default:
 		w.fail("unknown frame type %d", f.Type)
 	}
-	if len(w.buf) > MaxFramePayload {
-		w.fail("frame payload %d exceeds %d", len(w.buf), MaxFramePayload)
+	n := len(w.buf) - start - 4
+	if n > MaxFramePayload {
+		w.fail("frame payload %d exceeds %d", n, MaxFramePayload)
 	}
 	if w.err != nil {
 		return nil, w.err
 	}
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(w.buf)))
-	return append(dst, w.buf...), nil
+	binary.BigEndian.PutUint32(w.buf[start:], uint32(n))
+	return w.buf, nil
 }
 
 // WriteFrame encodes f and writes it to w as one length-prefixed frame.
@@ -523,34 +530,54 @@ func (r *frameReader) blob() []byte {
 	return nil
 }
 
+// readBufs holds ReadFrame's read buffers (*[]byte), one per call in flight.
+var readBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // ReadFrame reads and decodes one length-prefixed frame. A clean io.EOF at
 // the length prefix means the peer closed between frames; a short read
 // anywhere else surfaces as io.ErrUnexpectedEOF (a torn stream, worth a
 // reconnect); a structural problem surfaces wrapping ErrMalformed (the
 // stream cannot be trusted).
+//
+// The frame is read into a pooled buffer, so the call allocates only the
+// decoded frame. The frame copies out everything it keeps, a Blob
+// included, and never aliases the buffer.
 func ReadFrame(r io.Reader) (*Frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	buf := readBufs.Get().(*[]byte)
+	f, err := readFrame(r, buf)
+	readBufs.Put(buf)
+	return f, err
+}
+
+// readFrame reads one frame into *buf, growing it as needed, and decodes
+// it.
+func readFrame(r io.Reader, buf *[]byte) (*Frame, error) {
+	*buf = scratch.Resize(*buf, 4)
+	if _, err := io.ReadFull(r, *buf); err != nil {
 		if errors.Is(err, io.EOF) {
 			return nil, io.EOF
 		}
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(*buf)
 	if n < 2 {
 		return nil, fmt.Errorf("%w: payload length %d too short", ErrMalformed, n)
 	}
 	if n > MaxFramePayload {
 		return nil, fmt.Errorf("%w: payload length %d exceeds %d", ErrMalformed, n, MaxFramePayload)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	*buf = scratch.Resize(*buf, int(n))
+	if _, err := io.ReadFull(r, *buf); err != nil {
 		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
 		}
 		return nil, err
 	}
-	return DecodeFrame(payload)
+	f, err := DecodeFrame(*buf)
+	if f != nil && f.Blob != nil {
+		f.Blob = append([]byte(nil), f.Blob...)
+	}
+	return f, err
 }
 
 // DecodeFrame decodes one frame payload (the bytes after the length

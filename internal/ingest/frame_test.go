@@ -1,10 +1,13 @@
 package ingest
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -324,4 +327,86 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("re-encode mismatch:\n got %x\nwant %x\nframe: %+v", buf2, buf, fr)
 		}
 	})
+}
+
+// FuzzReadFrame feeds arbitrary byte streams through ReadFrame on a
+// bufio.Reader, as the server and the client read them. Every frame read
+// must round-trip through AppendFrame and ReadFrame, and must not change
+// while later frames are read (it may not alias a reused read buffer). A
+// failure keeps its class: io.EOF only at a frame boundary,
+// io.ErrUnexpectedEOF inside a frame, ErrMalformed for a bad length prefix
+// or for a payload DecodeFrame rejects.
+func FuzzReadFrame(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join(goldenDir, "frames.bin"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add(golden[:len(golden)-3])
+	f.Add([]byte{})
+	f.Add([]byte{0, 0})
+	f.Add([]byte{0, 0, 0, 1, Version})
+	f.Add(binary.BigEndian.AppendUint32(nil, MaxFramePayload+1))
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		br := bufio.NewReader(bytes.NewReader(stream))
+		var frames []*Frame
+		var encoded [][]byte
+		for rest := stream; ; {
+			fr, err := ReadFrame(br)
+			if err != nil {
+				checkReadError(t, rest, err)
+				break
+			}
+			n := 4 + int(binary.BigEndian.Uint32(rest))
+			rest = rest[n:]
+			enc, err := AppendFrame(nil, fr)
+			if err != nil {
+				t.Fatalf("frame %d failed to re-encode: %v\nframe: %+v", len(frames), err, fr)
+			}
+			again, err := ReadFrame(bufio.NewReader(bytes.NewReader(enc)))
+			if err != nil {
+				t.Fatalf("frame %d failed to read back: %v", len(frames), err)
+			}
+			// Compared through a second encoding: NaN values never compare
+			// equal, but the codec keeps their bits.
+			if enc2, err := AppendFrame(nil, again); err != nil || !bytes.Equal(enc2, enc) {
+				t.Fatalf("frame %d read back as %x (%v), want %x", len(frames), enc2, err, enc)
+			}
+			frames = append(frames, fr)
+			encoded = append(encoded, enc)
+		}
+		for i, fr := range frames {
+			if enc, _ := AppendFrame(nil, fr); !bytes.Equal(enc, encoded[i]) {
+				t.Fatalf("frame %d changed while later frames were read: %x, was %x", i, enc, encoded[i])
+			}
+		}
+	})
+}
+
+// checkReadError checks that ReadFrame's failure on the unread bytes rest
+// has the class rest calls for.
+func checkReadError(t *testing.T, rest []byte, err error) {
+	t.Helper()
+	if len(rest) == 0 {
+		if err != io.EOF {
+			t.Fatalf("at a frame boundary: %v, want io.EOF", err)
+		}
+		return
+	}
+	want := io.ErrUnexpectedEOF
+	if len(rest) >= 4 {
+		n := binary.BigEndian.Uint32(rest)
+		switch {
+		case n < 2 || n > MaxFramePayload:
+			want = ErrMalformed
+		case uint64(len(rest)-4) >= uint64(n):
+			if _, derr := DecodeFrame(rest[4 : 4+n]); derr == nil {
+				t.Fatalf("ReadFrame failed (%v) on a payload DecodeFrame accepts", err)
+			}
+			want = ErrMalformed
+		}
+	}
+	if !errors.Is(err, want) {
+		t.Fatalf("%d unread bytes %x: %v, want %v", len(rest), rest[:min(len(rest), 16)], err, want)
+	}
 }

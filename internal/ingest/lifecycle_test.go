@@ -746,3 +746,53 @@ func TestReplayRedirectBounceBacksOff(t *testing.T) {
 		t.Errorf("Redirects = %d, want the bounce to have happened", stats.Redirects)
 	}
 }
+
+// TestLifecycleEnqueueAfterEndLeaksNoDepth: a handler holding a frame when a
+// shed ends its session enqueues it after the worker has discarded the
+// queue. The enqueue must fail and leave no frame queued: the server's and
+// the tenant's depth come back down, or the leak counts toward the shed
+// watermark and the tenant's queued-frame quota for good. Enqueues racing
+// the ending leave nothing behind either.
+func TestLifecycleEnqueueAfterEndLeaksNoDepth(t *testing.T) {
+	srv, err := NewServer(Config{Factory: &countFactory{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn := &tenant{id: "shop-a"}
+	hello := &Frame{SessionID: "late", Channels: []ChannelSpec{{Name: "X", Lanes: 1, Rate: 100}}}
+	frame := queued{f: &Frame{Type: FrameData, Values: []float64{1}}}
+	check := func(s *session, when string) {
+		t.Helper()
+		if d, td, n := srv.depth.Load(), tn.depth.Load(), len(s.queue); d != 0 || td != 0 || n != 0 {
+			t.Fatalf("%s: server depth %d, tenant depth %d, %d queued; want all 0", when, d, td, n)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		s := newSession(srv, hello, &countSink{samples: []int{0}}, tn)
+		s.step(event{kind: evShed, reason: "shed"})
+		s.discardQueue() // the worker's exit
+		if err := s.enqueue(frame, time.Second); !errors.Is(err, errTerminated) {
+			t.Fatalf("enqueue %d after the worker exited: %v, want errTerminated", i, err)
+		}
+		check(s, "enqueue after exit")
+	}
+	for i := 0; i < 50; i++ {
+		s := newSession(srv, hello, &countSink{samples: []int{0}}, tn)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := 0; k < 32; k++ {
+					if err := s.enqueue(frame, time.Second); err != nil {
+						return
+					}
+				}
+			}()
+		}
+		s.step(event{kind: evShed, reason: "shed"})
+		s.discardQueue()
+		wg.Wait()
+		check(s, "enqueues racing the ending")
+	}
+}

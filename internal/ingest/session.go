@@ -308,29 +308,51 @@ func (s *session) ending(wait bool) *Frame {
 	return nil
 }
 
-// enqueue hands one unit to the worker, blocking up to timeout. The block
+// enqueue hands one unit to the worker, blocking up to timeout (0: no
+// limit) once the queue is full; only then does it arm a timer. The block
 // is deliberate: it stalls the handler's read loop and lets TCP push back
 // on the client. A timeout means the worker cannot keep up even with the
 // client throttled — the session is beyond saving.
+//
+// A session that has ended takes nothing: its worker discards the queue
+// once on exit, so a unit sent after that is taken back out here, or it
+// would hold the queue-depth counts up forever.
 func (s *session) enqueue(q queued, timeout time.Duration) error {
-	var timer <-chan time.Time
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		timer = t.C
+	select {
+	case <-s.quit:
+		return errTerminated
+	default:
 	}
 	select {
 	case s.queue <- q:
-		s.srv.depth.Add(1)
-		metDepth.Add(1)
-		if s.tenant != nil {
-			s.tenant.depth.Add(1)
+	default:
+		var timer <-chan time.Time
+		if timeout > 0 {
+			t := time.NewTimer(timeout)
+			defer t.Stop()
+			timer = t.C
 		}
-		return nil
+		select {
+		case s.queue <- q:
+		case <-s.quit:
+			return errTerminated
+		case <-timer:
+			return errStalled
+		}
+	}
+	s.srv.depth.Add(1)
+	metDepth.Add(1)
+	if s.tenant != nil {
+		s.tenant.depth.Add(1)
+	}
+	// The session may have ended since the first look, and its worker
+	// discarded the queue before this unit landed in it.
+	select {
 	case <-s.quit:
+		s.discardQueue()
 		return errTerminated
-	case <-timer:
-		return errStalled
+	default:
+		return nil
 	}
 }
 
@@ -453,7 +475,8 @@ func (s *session) finish(reason string) (*Verdict, error) {
 }
 
 // discardQueue drops everything still queued, keeping the aggregate depth
-// accounting straight.
+// accounting straight. The exiting worker and an enqueue that finds the
+// session ended both call it.
 func (s *session) discardQueue() {
 	for {
 		select {

@@ -1,9 +1,13 @@
 package ingest
 
 import (
+	"bufio"
+	"bytes"
 	"math/rand"
+	"net"
 	"reflect"
 	"testing"
+	"time"
 
 	"nsync/internal/scratch"
 	"nsync/internal/sigproc"
@@ -71,5 +75,86 @@ func TestMonitorSinkCycleAllocs(t *testing.T) {
 	// — this stream makes over a thousand pushes.
 	if allocs > 4 {
 		t.Errorf("a warm Acquire/Push/Finish/Release cycle allocates %.1f objects over %d pushes, want <= 4 (the verdict)", allocs, len(pushes))
+	}
+}
+
+// discardConn is a connection whose writes vanish.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
+
+// loopReader replays b forever.
+type loopReader struct {
+	b   []byte
+	off int
+}
+
+func (r *loopReader) Read(p []byte) (int, error) {
+	n := copy(p, r.b[r.off:])
+	r.off = (r.off + n) % len(r.b)
+	return n, nil
+}
+
+// TestWirePathAllocs pins what a Data frame's trip through the daemon
+// allocates: a warm Client encodes into its reused buffer, AppendFrame
+// encodes in place behind dst's prefix, an enqueue into a queue with room
+// arms no timer, and ReadFrame allocates only the decoded frame and its
+// values.
+func TestWirePathAllocs(t *testing.T) {
+	if scratch.RaceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	f := &Frame{Type: FrameData, Channel: 1, Seq: 4096, Values: make([]float64, 24)}
+	for i := range f.Values {
+		f.Values[i] = float64(i) - 11.5
+	}
+	want, err := AppendFrame(nil, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c := &Client{conn: discardConn{}}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := c.SendData(f.Channel, f.Seq, f.Values); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SendEOS(f.Channel, f.Seq); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("SendData+SendEOS allocates %.1f objects, want 0", n)
+	}
+
+	dst := append(make([]byte, 0, 64+len(want)), "prefix"...)
+	var out []byte
+	if n := testing.AllocsPerRun(100, func() { out, _ = AppendFrame(dst, f) }); n != 0 {
+		t.Errorf("AppendFrame into a dst with room allocates %.1f objects, want 0", n)
+	}
+	if string(out[:len(dst)]) != "prefix" || !bytes.Equal(out[len(dst):], want) {
+		t.Errorf("AppendFrame into a dst with room: %x, want prefix then %x", out, want)
+	}
+
+	srv, err := NewServer(Config{Factory: &countFactory{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newSession(srv, &Frame{SessionID: "allocs", Channels: []ChannelSpec{{Name: "X", Lanes: 1, Rate: 100}}}, &countSink{samples: []int{0}}, &tenant{})
+	q := queued{f: f}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := s.enqueue(q, time.Second); err != nil {
+			t.Fatal(err)
+		}
+		s.discardQueue()
+	}); n != 0 {
+		t.Errorf("enqueue into a queue with room allocates %.1f objects, want 0", n)
+	}
+
+	br := bufio.NewReader(&loopReader{b: want})
+	var got *Frame
+	if n := testing.AllocsPerRun(100, func() { got, _ = ReadFrame(br) }); n > 2 {
+		t.Errorf("ReadFrame of a Data frame allocates %.1f objects, want <= 2 (the frame and its values)", n)
+	}
+	if !reflect.DeepEqual(got, f) {
+		t.Errorf("ReadFrame: %+v, want %+v", got, f)
 	}
 }
