@@ -4,10 +4,10 @@
 // (Table III of the paper) and of the TDE fast path.
 //
 // Everything about a transform that does not depend on its input — the
-// radix-2 twiddle factors and the Bluestein chirp and kernel spectrum — is
-// built once per size and direction and cached process-wide, with the same
-// arithmetic a per-call computation would do, so cached transforms are
-// bit-identical to uncached ones.
+// radix-2 twiddle factors and bit-reversal swaps and the Bluestein chirp
+// and kernel spectrum — is built once per size and direction and cached
+// process-wide, with the same arithmetic a per-call computation would do,
+// so cached transforms are bit-identical to uncached ones.
 package fft
 
 import (
@@ -101,7 +101,9 @@ func transform(x []complex128, inverse bool) {
 }
 
 // radix2 is the iterative in-place Cooley-Tukey FFT for power-of-two sizes.
-// Its twiddles come from the cached per-direction table (see twiddles).
+// Its twiddles come from the cached per-direction table (see twiddles) and
+// its bit-reversal permutation from the cached per-size swap list (see
+// swapList).
 //
 // The butterfly stages run two at a time, so the array is swept about
 // half as often: stages h and 2h touch exactly the four elements
@@ -110,30 +112,45 @@ func transform(x []complex128, inverse bool) {
 // registers, and stored once. Every butterfly keeps its operands, its
 // twiddle and its operation order, so the output is bit-identical to one
 // stage per sweep. With an odd stage count the first stage runs alone.
+// The first pair of stages (h = 1 on 4-element blocks, or h = 2 on
+// 8-element blocks after a lone first stage) runs as straight-line code
+// on each block, with its few twiddles held in registers.
 func radix2(x []complex128, inverse bool) {
 	n := len(x)
-	// Bit-reversal permutation.
-	for i, j := 1, 0; i < n; i++ {
-		bit := n >> 1
-		for ; j&bit != 0; bit >>= 1 {
-			j ^= bit
-		}
-		j ^= bit
-		if i < j {
-			x[i], x[j] = x[j], x[i]
-		}
+	sw := swapList(n)
+	for k := 0; k+1 < len(sw); k += 2 {
+		i, j := sw[k], sw[k+1]
+		x[i], x[j] = x[j], x[i]
 	}
 	tw := twiddles(n, inverse)
-	half := 1
-	if bits.TrailingZeros(uint(n))%2 == 1 {
-		w := tw[:1]
-		for i := 0; i < n; i += 2 {
+	half := 4
+	if bits.TrailingZeros(uint(n))%2 == 0 {
+		// Stages 1 and 2 on each 4-element block.
+		w, wlo, whi := tw[0], tw[1], tw[2]
+		for i := 0; i+4 <= n; i += 4 {
+			q := (*[4]complex128)(x[i : i+4])
+			q[0], q[1], q[2], q[3] = twoStages(q[0], q[1], q[2], q[3], w, wlo, whi)
+		}
+	} else {
+		w := tw[0]
+		for i := 0; i+2 <= n; i += 2 {
 			u := x[i]
-			v := x[i+1] * w[0]
+			v := x[i+1] * w
 			x[i] = u + v
 			x[i+1] = u - v
 		}
-		half = 2
+		if n >= 8 {
+			// Stages 2 and 4 on each 8-element block, whose quarters are
+			// the pairs (q[0], q[1]), (q[2], q[3]), (q[4], q[5]), (q[6], q[7]).
+			w0, w1 := tw[1], tw[2]
+			wlo0, wlo1, whi0, whi1 := tw[3], tw[4], tw[5], tw[6]
+			for i := 0; i+8 <= n; i += 8 {
+				q := (*[8]complex128)(x[i : i+8])
+				q[0], q[2], q[4], q[6] = twoStages(q[0], q[2], q[4], q[6], w0, wlo0, whi0)
+				q[1], q[3], q[5], q[7] = twoStages(q[1], q[3], q[5], q[7], w1, wlo1, whi1)
+			}
+		}
+		half = 8
 	}
 	for ; half < n; half <<= 2 {
 		w1 := tw[half-1 : 2*half-1]   // stage h
@@ -146,19 +163,52 @@ func radix2(x []complex128, inverse bool) {
 			q3 := x[i+3*half : i+4*half]
 			q0, q1, q2, q3 = q0[:len(w1)], q1[:len(w1)], q2[:len(w1)], q3[:len(w1)]
 			for j, wj := range w1 {
-				// Stage h: butterflies (q0, q1) and (q2, q3).
-				a, b := q0[j], q1[j]*wj
-				a, b = a+b, a-b
-				c, d := q2[j], q3[j]*wj
-				c, d = c+d, c-d
-				// Stage 2h: butterflies (q0, q2) and (q1, q3).
-				c *= w2lo[j]
-				d *= w2hi[j]
-				q0[j], q2[j] = a+c, a-c
-				q1[j], q3[j] = b+d, b-d
+				q0[j], q1[j], q2[j], q3[j] = twoStages(q0[j], q1[j], q2[j], q3[j], wj, w2lo[j], w2hi[j])
 			}
 		}
 	}
+}
+
+// twoStages carries one group of four through two radix-2 stages: stage
+// h's butterflies (a, b) and (c, d) with twiddle w, then stage 2h's
+// (a, c) with wlo and (b, d) with whi.
+func twoStages(a, b, c, d, w, wlo, whi complex128) (complex128, complex128, complex128, complex128) {
+	b *= w
+	a, b = a+b, a-b
+	d *= w
+	c, d = c+d, c-d
+	c *= wlo
+	d *= whi
+	return a + c, b + d, a - c, b - d
+}
+
+// swapLists caches, per log₂ size, the bit-reversal permutation of radix2
+// as a flat list of index pairs (i, j), i < j, in the order the in-place
+// scan swaps them. The pairs are disjoint, so the order does not change
+// the result; it only keeps the accesses of neighbouring swaps close.
+var swapLists [64]atomic.Pointer[[]uint32]
+
+// swapList returns the bit-reversal swap pairs of an n-point transform (n
+// a power of two, below 2³²), building and caching them on first use.
+func swapList(n int) []uint32 {
+	slot := &swapLists[bits.TrailingZeros(uint(n))]
+	if sw := slot.Load(); sw != nil {
+		return *sw
+	}
+	var sw []uint32
+	for i, j := 1, 0; i < n; i++ {
+		bit := n >> 1
+		for ; j&bit != 0; bit >>= 1 {
+			j ^= bit
+		}
+		j ^= bit
+		if i < j {
+			sw = append(sw, uint32(i), uint32(j))
+		}
+	}
+	// Concurrent builders produce identical lists; the first one stored wins.
+	slot.CompareAndSwap(nil, &sw)
+	return *slot.Load()
 }
 
 // twiddleTables caches, per direction, the radix-2 twiddle factors. The

@@ -179,11 +179,13 @@ func BenchmarkForward1024(b *testing.B) {
 	}
 }
 
-// BenchmarkRadix2 runs the in-place power-of-two kernel at the sizes the
-// TDE correlation uses at the CI scale (ACC 4096, AUD 65536) and one size
-// up, where the array no longer fits in a typical L2 cache.
+// BenchmarkRadix2 runs the in-place power-of-two kernel at the sizes
+// Bluestein pads the CI scale's STFT frames to (MAG 20 → 64, ACC 50 → 128,
+// AUD 200 → 512, EPT 400 → 1024), the sizes the TDE correlation uses (ACC
+// 4096, AUD 65536), and one size up, where the array no longer fits in a
+// typical L2 cache.
 func BenchmarkRadix2(b *testing.B) {
-	for _, n := range []int{4096, 65536, 131072} {
+	for _, n := range []int{64, 128, 512, 1024, 4096, 65536, 131072} {
 		b.Run(strconv.Itoa(n), func(b *testing.B) {
 			src := randComplex(rand.New(rand.NewSource(16)), n)
 			x := make([]complex128, n)

@@ -1,7 +1,9 @@
 package fft
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"math/cmplx"
 	"math/rand"
 	"sync"
@@ -87,6 +89,9 @@ func uncachedBluestein(x []complex128, inverse bool) {
 func resetPlans() {
 	twiddleTables[0].Store(nil)
 	twiddleTables[1].Store(nil)
+	for i := range swapLists {
+		swapLists[i].Store(nil)
+	}
 	blueMu.Lock()
 	clear(bluePlans)
 	blueMu.Unlock()
@@ -129,6 +134,135 @@ func TestRadix2MatchesRecurrence(t *testing.T) {
 	resetPlans()
 	for _, n := range sizes {
 		check(n)
+	}
+}
+
+// loopRadix2 is the radix-2 kernel as it ran before the cached swap list
+// and the straight-line first pair of stages: the bit-reversal permutation
+// is recomputed index by index, and every pair of stages, the first
+// included, reslices the block's quarters.
+func loopRadix2(x []complex128, inverse bool) {
+	n := len(x)
+	for i, j := 1, 0; i < n; i++ {
+		bit := n >> 1
+		for ; j&bit != 0; bit >>= 1 {
+			j ^= bit
+		}
+		j ^= bit
+		if i < j {
+			x[i], x[j] = x[j], x[i]
+		}
+	}
+	tw := twiddles(n, inverse)
+	half := 1
+	if bits.TrailingZeros(uint(n))%2 == 1 {
+		w := tw[:1]
+		for i := 0; i < n; i += 2 {
+			u := x[i]
+			v := x[i+1] * w[0]
+			x[i] = u + v
+			x[i+1] = u - v
+		}
+		half = 2
+	}
+	for ; half < n; half <<= 2 {
+		w1 := tw[half-1 : 2*half-1]
+		w2 := tw[2*half-1 : 4*half-1]
+		w2lo, w2hi := w2[:len(w1)], w2[len(w1):][:len(w1)]
+		for i := 0; i < n; i += 4 * half {
+			q0 := x[i : i+half]
+			q1 := x[i+half : i+2*half]
+			q2 := x[i+2*half : i+3*half]
+			q3 := x[i+3*half : i+4*half]
+			q0, q1, q2, q3 = q0[:len(w1)], q1[:len(w1)], q2[:len(w1)], q3[:len(w1)]
+			for j, wj := range w1 {
+				a, b := q0[j], q1[j]*wj
+				a, b = a+b, a-b
+				c, d := q2[j], q3[j]*wj
+				c, d = c+d, c-d
+				c *= w2lo[j]
+				d *= w2hi[j]
+				q0[j], q2[j] = a+c, a-c
+				q1[j], q3[j] = b+d, b-d
+			}
+		}
+	}
+}
+
+// specialComplex draws each part from signed zeros, infinities, NaN and a
+// few finite values, so that sign-of-zero and NaN/Inf propagation through
+// every butterfly (including the multiplications by the exact-looking
+// twiddle 1+0i) are compared too.
+func specialComplex(rng *rand.Rand, n int) []complex128 {
+	vals := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 1, -2.5, 1e-310}
+	out := make([]complex128, n)
+	for i := range out {
+		re, im := vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals))]
+		if rng.Intn(2) == 0 {
+			re = rng.NormFloat64()
+		}
+		out[i] = complex(re, im)
+	}
+	return out
+}
+
+// sameBitsOrNaN is sameBits for outputs of NaN inputs: every value must
+// match bit for bit, except that a NaN matches any NaN. IEEE 754 leaves
+// open which payload an operation on two NaNs returns, and on amd64 it is
+// the first operand's, so it follows the operand order the compiler picks
+// for a commutative add or multiply, not the algorithm. Where the
+// reference has a NaN the kernel must have one too, and vice versa.
+func sameBitsOrNaN(t *testing.T, what string, got, want []complex128) {
+	t.Helper()
+	same := func(g, w float64) bool {
+		if math.IsNaN(g) || math.IsNaN(w) {
+			return math.IsNaN(g) && math.IsNaN(w)
+		}
+		return math.Float64bits(g) == math.Float64bits(w)
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if !same(real(g), real(w)) || !same(imag(g), imag(w)) {
+			t.Fatalf("%s: bin %d = %v, want %v (bit-exact)", what, i, g, w)
+		}
+	}
+}
+
+// TestRadix2BitExact pins radix2 to the loop kernel it replaced, bit for
+// bit, at every power of two from 2 to 2^17 in both directions, on random
+// inputs and on inputs full of ±0, ±Inf and NaN. The caches start cold, so
+// every size's swap list is built by the call under test.
+func TestRadix2BitExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	resetPlans()
+	for n := 2; n <= 1<<17; n <<= 1 {
+		for _, inverse := range []bool{false, true} {
+			what := fmt.Sprintf("n=%d inverse=%v", n, inverse)
+			x := randComplex(rng, n)
+			want := append([]complex128(nil), x...)
+			loopRadix2(want, inverse)
+			radix2(x, inverse)
+			sameBits(t, what, x, want)
+
+			x = specialComplex(rng, n)
+			want = append(want[:0], x...)
+			loopRadix2(want, inverse)
+			radix2(x, inverse)
+			sameBitsOrNaN(t, what+" special", x, want)
+		}
+	}
+}
+
+// TestInPlaceAllocs pins a warm power-of-two transform at zero
+// allocations: the twiddles and the swap list are cached, the transform
+// runs in the caller's buffer.
+func TestInPlaceAllocs(t *testing.T) {
+	for _, n := range []int{64, 1024, 65536} {
+		x := randComplex(rand.New(rand.NewSource(25)), n)
+		InPlace(x) // warm the caches
+		if allocs := testing.AllocsPerRun(10, func() { InPlace(x) }); allocs != 0 {
+			t.Errorf("n=%d: InPlace allocates %v objects per call, want 0", n, allocs)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package ingest
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -408,7 +409,18 @@ func (j *Journal) rotateLocked() error {
 	return nil
 }
 
-// syncLoop is the background flusher for JournalSyncInterval.
+// syncSegment is the interval flusher's fsync. It is a variable so tests
+// can hold one in flight.
+var syncSegment = (*os.File).Sync
+
+// syncLoop is the background flusher for JournalSyncInterval. It takes the
+// segment and clears dirty under the append lock, then fsyncs outside it,
+// so no Admit, Snapshot, Detach or Finish waits out a disk flush; a record
+// appended during the fsync sets dirty again and is flushed on the next
+// tick. If a rotation or Close closes the segment meanwhile, the fsync
+// fails with os.ErrClosed, which loses nothing: rotation has made every
+// live session's checkpoint durable in the next segment, and Close fsyncs
+// the segment before closing it. That failure is not logged.
 func (j *Journal) syncLoop() {
 	defer close(j.syncDone)
 	t := time.NewTicker(j.cfg.SyncInterval)
@@ -418,14 +430,16 @@ func (j *Journal) syncLoop() {
 		case <-j.stopSync:
 			return
 		case <-t.C:
-			j.mu.Lock()
-			if !j.closed && j.dirty {
-				if err := j.f.Sync(); err != nil {
-					j.logf("journal: fsync failed: %v", err)
-				}
-				j.dirty = false
-			}
-			j.mu.Unlock()
+		}
+		j.mu.Lock()
+		f, due := j.f, !j.closed && j.dirty
+		j.dirty = false
+		j.mu.Unlock()
+		if !due {
+			continue
+		}
+		if err := syncSegment(f); err != nil && !errors.Is(err, os.ErrClosed) {
+			j.logf("journal: fsync failed: %v", err)
 		}
 	}
 }

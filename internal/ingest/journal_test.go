@@ -3,10 +3,14 @@ package ingest
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -25,14 +29,22 @@ func openTestJournal(t *testing.T, dir string, cfg JournalConfig) (*Journal, []*
 	return j, rec
 }
 
-// tailSegment returns the contents and path of the newest segment file.
-func tailSegment(t *testing.T, dir string) (string, []byte) {
+// newestSegment returns the path of the newest segment file without
+// opening it, so it is safe while rotation may retire that segment.
+func newestSegment(t *testing.T, dir string) string {
 	t.Helper()
 	segs, err := filepath.Glob(filepath.Join(dir, "journal-*.wal"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no segments in %s (err=%v)", dir, err)
 	}
-	path := segs[len(segs)-1]
+	return segs[len(segs)-1]
+}
+
+// tailSegment returns the path and contents of the newest segment file.
+// Only a caller whose journal cannot rotate meanwhile may use it.
+func tailSegment(t *testing.T, dir string) (string, []byte) {
+	t.Helper()
+	path := newestSegment(t, dir)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -244,10 +256,14 @@ func TestJournalExportLiveDuringRotation(t *testing.T) {
 	j, _ := openTestJournal(t, dir, JournalConfig{MaxSegmentBytes: 4 << 10})
 	defer j.Close() //nolint:errcheck // test teardown
 
-	firstSeg, _ := tailSegment(t, dir)
+	firstSeg := newestSegment(t, dir)
 	specs := testSpecs()
 	stop := make(chan struct{})
 	done := make(chan struct{})
+	defer func() { // on a failure too, so the churn never outlives the test
+		close(stop)
+		<-done
+	}()
 	go func() {
 		defer close(done)
 		state := make([]byte, 512)
@@ -286,13 +302,98 @@ func TestJournalExportLiveDuringRotation(t *testing.T) {
 			}
 		}
 		if !rotated {
-			if seg, _ := tailSegment(t, dir); seg != firstSeg {
+			if newestSegment(t, dir) != firstSeg {
 				rotated = true
 			}
 		}
 	}
-	close(stop)
-	<-done
+}
+
+// TestJournalIntervalSyncOffAppendLock holds an interval fsync in flight
+// and checks that appends and exports complete meanwhile: the flusher takes
+// the segment under the append lock but fsyncs outside it. The appends
+// rotate the held segment away, so the fsync then fails with os.ErrClosed,
+// which must not be logged as a failure.
+func TestJournalIntervalSyncOffAppendLock(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	unhold := sync.OnceFunc(func() { close(release) })
+	held := make(chan error, 1)
+	var first sync.Once
+	fsync := syncSegment
+	syncSegment = func(f *os.File) error {
+		hold := false
+		first.Do(func() {
+			hold = true
+			close(entered)
+			<-release
+		})
+		err := fsync(f)
+		if hold {
+			held <- err
+		}
+		return err
+	}
+	defer func() { syncSegment = fsync }()
+
+	var mu sync.Mutex
+	var logs []string
+	dir := t.TempDir()
+	j, _, err := OpenJournal(dir, JournalConfig{
+		SyncMode:        JournalSyncInterval,
+		SyncInterval:    time.Millisecond,
+		MaxSegmentBytes: 4 << 10,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close() //nolint:errcheck // closed below; a second Close is a no-op
+	defer unhold()  // on a failure, before Close: a held fsync would hold Close up
+
+	j.Admit("held", "plant-x", "feedfacefeed", 3, testSpecs())
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no interval fsync started")
+	}
+	firstSeg := newestSegment(t, dir)
+	appended := make(chan struct{})
+	go func() {
+		defer close(appended)
+		state := make([]byte, 512)
+		for i := 0; i < 32; i++ { // 16 KB of snapshots: several rotations
+			j.Snapshot("held", []uint64{uint64(i), uint64(i)}, state)
+		}
+		j.Detach("held")
+		j.ExportLive()
+		j.Finish("held")
+	}()
+	select {
+	case <-appended:
+	case <-time.After(10 * time.Second):
+		t.Fatal("appends waited behind the in-flight interval fsync")
+	}
+	if newestSegment(t, dir) == firstSeg {
+		t.Fatal("the appends never rotated the segment under the held fsync")
+	}
+	unhold()
+	if err := <-held; !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("held fsync of a rotated-away segment returned %v, want os.ErrClosed", err)
+	}
+	if err := j.Close(); err != nil { // waits for the flusher to exit
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, line := range logs {
+		if strings.Contains(line, "fsync") {
+			t.Errorf("logged %q", line)
+		}
+	}
 }
 
 // FuzzJournalReplay boots a journal from a segment of fuzzed records. The

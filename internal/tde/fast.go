@@ -240,10 +240,27 @@ func crossDotsInto(buf *corrBuf, spec laneSpectra, a, b int, ya, yb, da, db []fl
 	}
 }
 
-// directDotsInto evaluates the sliding cross-terms directly.
+// directDotsInto evaluates the sliding cross-terms directly, four
+// positions per sweep of y. Each position keeps its own accumulator and
+// adds its products in the same i order as a one-position loop, so every
+// output is bit-identical to it; the four add chains are independent, so
+// they overlap instead of each waiting on its own latency. The one to
+// three positions left over run one at a time.
 func directDotsInto(out, x, y []float64) {
 	ny := len(y)
-	for p := range out {
+	p := 0
+	for ; p+4 <= len(out); p += 4 {
+		var s0, s1, s2, s3 float64
+		x0, x1, x2, x3 := x[p:p+ny], x[p+1:p+1+ny], x[p+2:p+2+ny], x[p+3:p+3+ny]
+		for i, v := range y {
+			s0 += x0[i] * v
+			s1 += x1[i] * v
+			s2 += x2[i] * v
+			s3 += x3[i] * v
+		}
+		out[p], out[p+1], out[p+2], out[p+3] = s0, s1, s2, s3
+	}
+	for ; p < len(out); p++ {
 		var s float64
 		xp := x[p : p+ny]
 		for i, v := range y {

@@ -242,3 +242,81 @@ func BenchmarkSimilarityArrayNaive(b *testing.B) {
 		}
 	}
 }
+
+// oneLagDots is directDotsInto as it ran before the four-position sweep:
+// one position at a time, on one accumulator.
+func oneLagDots(out, x, y []float64) {
+	ny := len(y)
+	for p := range out {
+		var s float64
+		xp := x[p : p+ny]
+		for i, v := range y {
+			s += xp[i] * v
+		}
+		out[p] = s
+	}
+}
+
+// TestDirectDotsBitExact pins the four-position directDotsInto to the
+// one-position loop it replaced, bit for bit: position counts of every
+// residue mod 4 (none included), a one-sample template, a template as long
+// as x, the 161-lag × 160-frame spectrogram cell, and inputs with ±0, ±Inf
+// and NaN. Each position's products meet its accumulator in the same
+// operand order as in the loop, so even NaN payloads match.
+func TestDirectDotsBitExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(95))
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 1e308, -1e-310}
+	fill := func(n int, specials bool) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+			if specials && rng.Intn(8) == 0 {
+				v[i] = special[rng.Intn(len(special))]
+			}
+		}
+		return v
+	}
+	type shape struct{ positions, ny int }
+	var shapes []shape
+	for positions := 0; positions <= 9; positions++ {
+		shapes = append(shapes, shape{positions, 37})
+	}
+	shapes = append(shapes,
+		shape{13, 1}, shape{1, 1}, // one-sample template
+		shape{1, 160}, shape{1, 3}, // nx = ny
+		shape{161, 160}, shape{160, 160}, shape{162, 160}, shape{163, 160})
+	for _, sh := range shapes {
+		for _, specials := range []bool{false, true} {
+			// With no position, x is one sample shorter than y.
+			x, y := fill(sh.positions+sh.ny-1, specials), fill(sh.ny, specials)
+			want := make([]float64, sh.positions)
+			oneLagDots(want, x, y)
+			got := make([]float64, sh.positions)
+			directDotsInto(got, x, y)
+			for p := range want {
+				if math.Float64bits(got[p]) != math.Float64bits(want[p]) {
+					t.Fatalf("%+v specials=%v: dots[%d] = %v (%#x), want %v (%#x)", sh, specials,
+						p, got[p], math.Float64bits(got[p]), want[p], math.Float64bits(want[p]))
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkDirectDots runs the direct cross-terms at the shape of a UM3
+// spectrogram cell: 161 positions of a 160-frame template.
+func BenchmarkDirectDots(b *testing.B) {
+	rng := rand.New(rand.NewSource(96))
+	x, y := make([]float64, 320), make([]float64, 160)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	for i := range y {
+		y[i] = rng.NormFloat64()
+	}
+	out := make([]float64, 161)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		directDotsInto(out, x, y)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"nsync/internal/obs"
 	"nsync/internal/scratch"
@@ -44,12 +45,6 @@ type corrBuf struct {
 	// region is the view of a prepared Reference's search region.
 	winData [][]float64
 	region  sigproc.Signal
-
-	// weights caches the TDEB Gaussian by distance from the bias center for
-	// weightSigma (see gaussianWeights). Unlike the buffers above it is a
-	// cache, not scratch: it survives Put and is not poisoned.
-	weights     []float64
-	weightSigma float64
 }
 
 var corrPool = scratch.Pool[corrBuf]{
@@ -256,7 +251,7 @@ func (e *Estimator) DelayBiasedIn(r *Reference, lo, hi int, y *sigproc.Signal, c
 // biasedArgmax returns the argmax of s under the TDEB bias centered at
 // center with standard deviation sigma.
 func (buf *corrBuf) biasedArgmax(s []float64, center int, sigma float64) int {
-	w := buf.gaussianWeights(sigma, biasReach(len(s), center))
+	w := gaussianWeights(sigma, biasReach(len(s), center))
 	buf.biased = biasedScoresInto(scratch.Resize(buf.biased, len(s)), s, center, w)
 	return argmax(buf.biased)
 }
@@ -272,7 +267,7 @@ func BiasedScores(s []float64, sigma float64) []float64 {
 // Scores are first shifted to be non-negative so the multiplicative weight
 // acts as a monotone bias.
 func BiasedScoresAt(s []float64, center int, sigma float64) []float64 {
-	w := gaussianTable(nil, sigma, biasReach(len(s), center))
+	w := gaussianTable(sigma, biasReach(len(s), center))
 	return biasedScoresInto(make([]float64, len(s)), s, center, w)
 }
 
@@ -309,28 +304,53 @@ func biasReach(n, center int) int {
 	return max(center, -center, n-1-center, center-(n-1)) + 1
 }
 
+// maxWeightTables bounds the TDEB weight-table cache. A synchronizer's
+// sigma is t_sigma times its channel's rate, so a process needs one table
+// per distinct rate; past the bound an arbitrary table is evicted and
+// rebuilt if needed again.
+const maxWeightTables = 64
+
+var (
+	weightMu     sync.Mutex
+	weightTables = make(map[uint64][]float64) // by math.Float64bits(sigma)
+)
+
 // gaussianWeights returns the TDEB weight table for sigma covering at least
-// n distances, rebuilding buf's cached table only when sigma changes or a
-// longer reach is needed. A DWM synchronizer's sigma is fixed, so in steady
-// state every window reuses one table instead of calling math.Exp per score.
-func (buf *corrBuf) gaussianWeights(sigma float64, n int) []float64 {
-	w := buf.weights
-	if sigma == buf.weightSigma && (len(w) >= n || complete(w)) {
+// n distances from the process-wide cache, building it on a miss and
+// replacing it with a longer one when a reach outgrows it (unless it
+// already runs to its underflow point). Tables are read-only once cached,
+// so callers share them; one replaced by a longer table stays valid for
+// whoever still holds it. The cache is keyed by sigma rather than kept in
+// each pooled corrBuf, because synchronizers of channels with different
+// rates take the same corrBufs from the pool.
+func gaussianWeights(sigma float64, n int) []float64 {
+	key := math.Float64bits(sigma)
+	weightMu.Lock()
+	defer weightMu.Unlock()
+	w, ok := weightTables[key]
+	if ok && (len(w) >= n || complete(w)) {
 		return w
 	}
-	buf.weights, buf.weightSigma = gaussianTable(buf.weights, sigma, n), sigma
-	return buf.weights
+	if !ok && len(weightTables) >= maxWeightTables {
+		for k := range weightTables {
+			delete(weightTables, k)
+			break
+		}
+	}
+	w = gaussianTable(sigma, n)
+	weightTables[key] = w
+	return w
 }
 
-// gaussianTable fills w[d] = exp(-0.5·(d/sigma)²) for d = 0..n-1 (for
-// sigma <= 0: 1 at d = 0, else 0), using dst's backing array when it fits.
-// Each weight is computed exactly as a per-score evaluation at i-center = ±d
-// would be — negation is exact — so lookups are bit-identical to it. The
+// gaussianTable returns w[d] = exp(-0.5·(d/sigma)²) for d = 0..n-1 (for
+// sigma <= 0: 1 at d = 0, else 0). Each weight is computed exactly as a
+// per-score evaluation at i-center = ±d would be — negation is exact — so
+// lookups are bit-identical to it. The
 // table stops at the first weight that is exactly 0: the Gaussian only
 // decreases, so every later weight underflows to 0 as well, and readers
 // treat distances past the end as weight 0.
-func gaussianTable(dst []float64, sigma float64, n int) []float64 {
-	w := dst[:0]
+func gaussianTable(sigma float64, n int) []float64 {
+	var w []float64
 	for d := 0; d < n; d++ {
 		var wd float64
 		if sigma <= 0 {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -271,14 +272,13 @@ func perScoreBiased(s []float64, center int, sigma float64) []float64 {
 	return out
 }
 
-// TestBiasedWeightTableBitExact drives one corrBuf's cached weight table
-// through sigma changes, growing and shrinking reach, centers outside the
-// array, sigmas wide and narrow enough to reach the underflow cutoff, and
+// TestBiasedWeightTableBitExact drives the cached weight tables through
+// sigma changes, growing and shrinking reach, centers outside the array,
+// sigmas wide and narrow enough to reach the underflow cutoff, and
 // sigma <= 0. Every biased array must equal the per-score math.Exp
 // evaluation bit for bit, from the cache and from a fresh table alike.
 func TestBiasedWeightTableBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	buf := &corrBuf{}
 	steps := []struct {
 		n, center int
 		sigma     float64
@@ -299,7 +299,7 @@ func TestBiasedWeightTableBitExact(t *testing.T) {
 			s[i] = rng.NormFloat64()
 		}
 		want := perScoreBiased(s, st.center, st.sigma)
-		w := buf.gaussianWeights(st.sigma, biasReach(st.n, st.center))
+		w := gaussianWeights(st.sigma, biasReach(st.n, st.center))
 		cached := biasedScoresInto(make([]float64, st.n), s, st.center, w)
 		fresh := BiasedScoresAt(s, st.center, st.sigma)
 		for i := range want {
@@ -308,5 +308,63 @@ func TestBiasedWeightTableBitExact(t *testing.T) {
 				t.Fatalf("%+v: biased[%d] cached %v fresh %v, want %v", st, i, cached[i], fresh[i], want[i])
 			}
 		}
+	}
+}
+
+// TestWeightTablesSharedAcrossSigmas interleaves lookups of several sigmas
+// from concurrent goroutines, as DWM windows of channels with different
+// rates do on pooled buffers (run it under -race). Every table must equal
+// gaussianTable bit for bit, and once a sigma's table covers a reach,
+// looking up other sigmas in between must not rebuild it.
+func TestWeightTablesSharedAcrossSigmas(t *testing.T) {
+	sigmas := []float64{25, 3, 400, 0, 1e-300, 17.5}
+	const reach = 801
+	weightMu.Lock()
+	clear(weightTables)
+	weightMu.Unlock()
+	for _, sigma := range sigmas {
+		gaussianWeights(sigma, reach)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < 50; r++ {
+				sigma := sigmas[(g+r)%len(sigmas)]
+				n := 1 + (r*37)%reach
+				w := gaussianWeights(sigma, n)
+				if len(w) < n && !complete(w) {
+					t.Errorf("sigma %v: table of %d weights for a reach of %d", sigma, len(w), n)
+					return
+				}
+				want := gaussianTable(sigma, reach)
+				if &w[0] != &gaussianWeights(sigma, reach)[0] {
+					t.Errorf("sigma %v: table rebuilt after lookups of other sigmas", sigma)
+					return
+				}
+				for d := range w {
+					if math.Float64bits(w[d]) != math.Float64bits(want[d]) {
+						t.Errorf("sigma %v: w[%d] = %v, want %v", sigma, d, w[d], want[d])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestWeightTablesBounded checks that sweeping many sigmas keeps at most
+// maxWeightTables tables.
+func TestWeightTablesBounded(t *testing.T) {
+	for i := 0; i < 3*maxWeightTables; i++ {
+		gaussianWeights(1+float64(i)/7, 10)
+	}
+	weightMu.Lock()
+	n := len(weightTables)
+	weightMu.Unlock()
+	if n > maxWeightTables {
+		t.Fatalf("%d weight tables cached, want at most %d", n, maxWeightTables)
 	}
 }
