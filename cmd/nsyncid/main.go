@@ -66,6 +66,13 @@ func run() error {
 		flag.Usage()
 		return fmt.Errorf("-ref, -train and -observe are required")
 	}
+	// Check the mode before the slow part: loading every file and training.
+	switch {
+	case *syncName != "dwm" && *syncName != "dtw" && *syncName != "none":
+		return fmt.Errorf("unknown synchronizer %q", *syncName)
+	case *live && *syncName != "dwm":
+		return fmt.Errorf("-live requires -sync dwm (streaming DTW is not supported; see Section VI-A)")
+	}
 	if *pprofAddr != "" {
 		metrics.SetEnabled(true)
 		http.Handle("/metrics", metrics.Handler())
@@ -126,10 +133,8 @@ func run() error {
 		sync = &core.DWMSynchronizer{Params: params}
 	case "dtw":
 		sync = &core.DTWSynchronizer{Radius: *radius}
-	case "none":
+	default: // "none"
 		sync = &core.NullSynchronizer{Window: int(params.TWin * ref.Rate), Hop: int(params.THop * ref.Rate)}
-	default:
-		return fmt.Errorf("unknown synchronizer %q", *syncName)
 	}
 
 	// core.Config.Workers: 0 or 1 is serial, negative means one per CPU.
@@ -152,9 +157,6 @@ func run() error {
 	fmt.Printf("learned thresholds: c_c=%.4g h_c=%.4g v_c=%.4g\n", th.CC, th.HC, th.VC)
 
 	if *live {
-		if *syncName != "dwm" {
-			return fmt.Errorf("-live requires -sync dwm (streaming DTW is not supported; see Section VI-A)")
-		}
 		return runLive(ref, obs, params, th, *chunkSec)
 	}
 

@@ -164,11 +164,3 @@ func (d *Detector) Classify(observed *sigproc.Signal) (Verdict, error) {
 	}
 	return d.thresholds.DetectSubset(f, d.cfg.SubModules...), nil
 }
-
-// ClassifyFeatures applies the discriminator to precomputed features.
-func (d *Detector) ClassifyFeatures(f *Features) (Verdict, error) {
-	if !d.trained {
-		return Verdict{}, errors.New("core: detector is not trained")
-	}
-	return d.thresholds.DetectSubset(f, d.cfg.SubModules...), nil
-}

@@ -77,13 +77,6 @@ func (rb *rowsBuf) carve(n, c int) [][]float64 {
 	return rb.rows
 }
 
-// transpose is the allocating variant of transposeInto, for copies that
-// outlive a single alignment (the Online aligner's fixed reference).
-func transpose(s *sigproc.Signal) [][]float64 {
-	var rb rowsBuf
-	return transposeInto(&rb, s)
-}
-
 // transposeInto converts a channel-major signal into time-major vectors
 // backed by rb: out[n][c] = s.Data[c][n].
 func transposeInto(rb *rowsBuf, s *sigproc.Signal) [][]float64 {

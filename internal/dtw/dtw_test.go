@@ -245,9 +245,9 @@ func TestHalveOddLength(t *testing.T) {
 
 func TestTranspose(t *testing.T) {
 	s := &sigproc.Signal{Rate: 1, Data: [][]float64{{1, 2}, {3, 4}}}
-	tr := transpose(s)
+	tr := transposeInto(&rowsBuf{}, s)
 	if tr[0][0] != 1 || tr[0][1] != 3 || tr[1][0] != 2 || tr[1][1] != 4 {
-		t.Errorf("transpose = %v", tr)
+		t.Errorf("transposeInto = %v", tr)
 	}
 }
 

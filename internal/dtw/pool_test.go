@@ -122,45 +122,3 @@ func TestResultDoesNotAliasScratch(t *testing.T) {
 	mustEqualFloats(t, "HDisp stability", hdisp, hdispSnap)
 	mustEqualFloats(t, "VDist stability", vdist, vdistSnap)
 }
-
-// TestOnlineRowReuse verifies the double-buffered Online aligner is
-// deterministic: two aligners fed the same stream agree exactly, and the
-// steady state stops allocating rows.
-func TestOnlineRowReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(101))
-	ref := randomWalk(rng, 2, 120)
-	o1, err := NewOnline(ref, sigproc.Euclidean, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o2, err := NewOnline(ref, sigproc.Euclidean, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sample := make([]float64, 2)
-	for i := 0; i < 100; i++ {
-		sample[0], sample[1] = rng.NormFloat64(), rng.NormFloat64()
-		j1, c1, err1 := o1.Push(sample)
-		j2, c2, err2 := o2.Push(sample)
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		if j1 != j2 || c1 != c2 {
-			t.Fatalf("push %d: (%d, %v) vs (%d, %v)", i, j1, c1, j2, c2)
-		}
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		sample[0], sample[1] = 1, -1
-		if _, _, err := o1.Push(sample); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0 {
-		t.Errorf("Online.Push allocates %.1f objects per push in steady state, want 0", allocs)
-	}
-	// 151 pushes against a 120-sample reference with band 8: the stream has
-	// outrun the reference, so the aligner must pin at the tail, not panic.
-	if got := o1.RefIndex(); got != ref.Len()-1 {
-		t.Errorf("RefIndex() = %d after outrunning the reference, want %d", got, ref.Len()-1)
-	}
-}

@@ -117,15 +117,6 @@ type Result struct {
 	Rate float64
 }
 
-// HDist returns the horizontal distances |h_disp[i]|, in samples.
-func (r *Result) HDist() []float64 {
-	out := make([]float64, len(r.HDisp))
-	for i, d := range r.HDisp {
-		out[i] = math.Abs(float64(d))
-	}
-	return out
-}
-
 // HDispSeconds returns h_disp converted to seconds.
 func (r *Result) HDispSeconds() []float64 {
 	out := make([]float64, len(r.HDisp))
@@ -133,11 +124,6 @@ func (r *Result) HDispSeconds() []float64 {
 		out[i] = float64(d) / r.Rate
 	}
 	return out
-}
-
-// WindowTime returns the start time, in seconds, of window i.
-func (r *Result) WindowTime(i int) float64 {
-	return float64(i*r.NHop) / r.Rate
 }
 
 // Synchronizer runs the final DWM algorithm of Section VI-B against a fixed

@@ -330,16 +330,9 @@ func TestStreamingMatchesBatch(t *testing.T) {
 
 func TestResultHelpers(t *testing.T) {
 	r := &Result{HDisp: []int{-3, 4}, NHop: 25, NWin: 50, Rate: 100}
-	hd := r.HDist()
-	if hd[0] != 3 || hd[1] != 4 {
-		t.Errorf("HDist = %v", hd)
-	}
 	hs := r.HDispSeconds()
 	if !almost(hs[0], -0.03, 1e-12) {
 		t.Errorf("HDispSeconds[0] = %v", hs[0])
-	}
-	if got := r.WindowTime(4); !almost(got, 1.0, 1e-12) {
-		t.Errorf("WindowTime(4) = %v, want 1.0", got)
 	}
 }
 

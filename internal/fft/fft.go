@@ -43,10 +43,6 @@ func Inverse(x []complex128) []complex128 {
 	return out
 }
 
-// InverseInPlace computes the normalized inverse DFT of x in place,
-// overwriting it.
-func InverseInPlace(x []complex128) { inverseInPlace(x) }
-
 func inverseInPlace(x []complex128) {
 	transform(x, true)
 	n := float64(len(x))
@@ -57,14 +53,9 @@ func inverseInPlace(x []complex128) {
 	}
 }
 
-// ForwardReal computes the DFT of a real input and returns the first
+// ForwardRealInto computes the DFT of a real input and returns the first
 // N/2+1 bins (the remainder is conjugate-symmetric and carries no extra
-// information for real signals).
-func ForwardReal(x []float64) []complex128 {
-	return ForwardRealInto(nil, x)
-}
-
-// ForwardRealInto is ForwardReal writing into dst's backing array when it
+// information for real signals). It writes into dst's backing array when it
 // has the capacity (allocating otherwise). The returned slice aliases dst;
 // the caller owns it until the next call with the same dst.
 func ForwardRealInto(dst []complex128, x []float64) []complex128 {
@@ -77,15 +68,6 @@ func ForwardRealInto(dst []complex128, x []float64) []complex128 {
 	}
 	transform(buf, false)
 	return buf[:len(buf)/2+1]
-}
-
-// Magnitudes returns |X[k]| for every bin.
-func Magnitudes(x []complex128) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = cmplx.Abs(v)
-	}
-	return out
 }
 
 // transform runs an in-place DFT (or inverse DFT without normalization).

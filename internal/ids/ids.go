@@ -137,21 +137,6 @@ func (r *Run) DropSpectroCache() {
 	r.spectroMu.Unlock()
 }
 
-// WarmSpectroCache precomputes and caches the spectrograms of the given
-// channels (all configured channels when none are given), so later
-// concurrent readers never contend on the transform. Errors are deferred to
-// the first Signal call for the failing channel.
-func (r *Run) WarmSpectroCache(channels ...sensor.Channel) {
-	if len(channels) == 0 {
-		for ch := range r.SpectroConfigs {
-			channels = append(channels, ch)
-		}
-	}
-	for _, ch := range channels {
-		r.Signal(ch, Spectro) //nolint:errcheck // cached, re-surfaced on use
-	}
-}
-
 // IDS is one intrusion detection system bound to a specific side channel
 // and transform. Train receives the reference run plus benign training runs
 // only (the one-class setting); Classify decides a single test run.

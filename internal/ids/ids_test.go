@@ -145,19 +145,6 @@ func TestRunSignalConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-func TestWarmSpectroCache(t *testing.T) {
-	r := fakeRun(4, testBase(2000), false)
-	r.WarmSpectroCache()
-	s1, err := r.Signal(sensor.ACC, Spectro)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, _ := r.Signal(sensor.ACC, Spectro)
-	if s1 != s2 {
-		t.Error("WarmSpectroCache did not populate the cache")
-	}
-}
-
 func TestRunSignalErrors(t *testing.T) {
 	r := fakeRun(1, testBase(500), false)
 	if _, err := r.Signal(sensor.AUD, Raw); err == nil {

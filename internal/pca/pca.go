@@ -9,8 +9,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"nsync/internal/sigproc"
 )
 
 // Model is a fitted PCA projection.
@@ -102,40 +100,6 @@ func (m *Model) Transform(row []float64) ([]float64, error) {
 			s += (v - m.Mean[j]) * comp[j]
 		}
 		out[r] = s
-	}
-	return out, nil
-}
-
-// TransformSignal fits PCA on the channels of s (each time sample is one
-// observation, channels are dimensions) and returns the signal projected to
-// k channels — the compression step of Belikovetsky's IDS.
-func TransformSignal(s *sigproc.Signal, k int) (*sigproc.Signal, error) {
-	n, c := s.Len(), s.Channels()
-	if n == 0 || c == 0 {
-		return nil, errors.New("pca: empty signal")
-	}
-	rows := make([][]float64, n)
-	backing := make([]float64, n*c)
-	for i := 0; i < n; i++ {
-		row := backing[i*c : (i+1)*c : (i+1)*c]
-		for j := 0; j < c; j++ {
-			row[j] = s.Data[j][i]
-		}
-		rows[i] = row
-	}
-	m, err := Fit(rows, k)
-	if err != nil {
-		return nil, err
-	}
-	out := sigproc.New(s.Rate, k, n)
-	for i, row := range rows {
-		proj, err := m.Transform(row)
-		if err != nil {
-			return nil, err
-		}
-		for r := 0; r < k; r++ {
-			out.Data[r][i] = proj[r]
-		}
 	}
 	return out, nil
 }

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"nsync/internal/sigproc"
 )
 
 func TestFitRecoversDominantDirection(t *testing.T) {
@@ -132,33 +130,5 @@ func TestFitErrors(t *testing.T) {
 	}
 	if _, err := Fit([][]float64{{1, 2}, {1}}, 1); err == nil {
 		t.Error("ragged rows: want error")
-	}
-}
-
-func TestTransformSignal(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	s := sigproc.New(100, 8, 400)
-	// All channels are scaled copies of one latent series plus noise: one
-	// component should capture nearly everything.
-	for i := 0; i < 400; i++ {
-		latent := rng.NormFloat64() * 5
-		for c := 0; c < 8; c++ {
-			s.Data[c][i] = latent*float64(c+1)/4 + rng.NormFloat64()*0.01
-		}
-	}
-	out, err := TransformSignal(s, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Channels() != 3 || out.Len() != 400 || out.Rate != 100 {
-		t.Fatalf("shape = (%d, %d) rate %v", out.Channels(), out.Len(), out.Rate)
-	}
-	// First channel variance dominates.
-	stds := out.Std()
-	if stds[0] < stds[1]*10 {
-		t.Errorf("PC1 std %v should dominate PC2 std %v", stds[0], stds[1])
-	}
-	if _, err := TransformSignal(&sigproc.Signal{Rate: 1}, 1); err == nil {
-		t.Error("empty signal: want error")
 	}
 }

@@ -83,20 +83,6 @@ func MultiChannelDistance(d DistanceFunc, x, y *Signal) (float64, error) {
 	return avg, nil
 }
 
-// PointDistance computes d between the single sample vectors x[i,:] and
-// y[j,:], treating the channel axis as the vector dimension. This is the
-// per-point distance used by DTW-style point-based comparison.
-func PointDistance(d DistanceFunc, x *Signal, i int, y *Signal, j int) float64 {
-	c := x.Channels()
-	u := make([]float64, c)
-	v := make([]float64, c)
-	for k := 0; k < c; k++ {
-		u[k] = x.Data[k][i]
-		v[k] = y.Data[k][j]
-	}
-	return d(u, v)
-}
-
 // MinFilter implements the spike-suppression filter of Eqs. (21)-(22): each
 // output sample is the minimum of the trailing window of n input samples
 // (including the current one). Windows that extend before index 0 are

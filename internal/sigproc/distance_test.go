@@ -98,15 +98,6 @@ func TestMultiChannelDistance(t *testing.T) {
 	}
 }
 
-func TestPointDistance(t *testing.T) {
-	x := &Signal{Rate: 1, Data: [][]float64{{0, 1}, {0, 2}}}
-	y := &Signal{Rate: 1, Data: [][]float64{{3, 0}, {4, 0}}}
-	// Point 0 of x is (0,0); point 0 of y is (3,4): Euclidean 5.
-	if got := PointDistance(Euclidean, x, 0, y, 0); !almostEqual(got, 5, 1e-12) {
-		t.Errorf("PointDistance = %v, want 5", got)
-	}
-}
-
 func TestMinFilter(t *testing.T) {
 	in := []float64{5, 1, 4, 4, 9, 2}
 	got := MinFilter(in, 3)

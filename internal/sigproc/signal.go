@@ -179,21 +179,6 @@ func (s *Signal) Offset(off float64) *Signal {
 	return s
 }
 
-// AppendSample appends one sample vector (one value per channel). It panics
-// if len(v) does not match the channel count of a non-empty signal; on an
-// empty signal it defines the channel count.
-func (s *Signal) AppendSample(v ...float64) {
-	if len(s.Data) == 0 {
-		s.Data = make([][]float64, len(v))
-	}
-	if len(v) != len(s.Data) {
-		panic(fmt.Sprintf("sigproc: append %d values to %d channels", len(v), len(s.Data)))
-	}
-	for c := range v {
-		s.Data[c] = append(s.Data[c], v[c])
-	}
-}
-
 // Mean returns the per-channel means.
 func (s *Signal) Mean() []float64 {
 	out := make([]float64, s.Channels())
@@ -276,48 +261,4 @@ func (s *Signal) DropFront(n int) {
 	for c, ch := range s.Data {
 		s.Data[c] = ch[:copy(ch, ch[n:])]
 	}
-}
-
-// Decimate returns a new signal keeping every factor-th sample. The rate is
-// divided accordingly. No anti-alias filtering is applied; callers that need
-// it should low-pass first.
-func (s *Signal) Decimate(factor int) *Signal {
-	if factor < 1 {
-		panic("sigproc: decimation factor < 1")
-	}
-	n := (s.Len() + factor - 1) / factor
-	out := New(s.Rate/float64(factor), s.Channels(), n)
-	for c, ch := range s.Data {
-		for i := 0; i < n; i++ {
-			out.Data[c][i] = ch[i*factor]
-		}
-	}
-	return out
-}
-
-// ResampleLinear returns the signal linearly interpolated onto a new rate.
-func (s *Signal) ResampleLinear(newRate float64) *Signal {
-	if newRate <= 0 {
-		panic("sigproc: non-positive resample rate")
-	}
-	n := s.Len()
-	if n == 0 {
-		return New(newRate, s.Channels(), 0)
-	}
-	outN := int(math.Floor(float64(n-1)*newRate/s.Rate)) + 1
-	out := New(newRate, s.Channels(), outN)
-	ratio := s.Rate / newRate
-	for c, ch := range s.Data {
-		for i := 0; i < outN; i++ {
-			pos := float64(i) * ratio
-			j := int(pos)
-			if j >= n-1 {
-				out.Data[c][i] = ch[n-1]
-				continue
-			}
-			frac := pos - float64(j)
-			out.Data[c][i] = ch[j]*(1-frac) + ch[j+1]*frac
-		}
-	}
-	return out
 }

@@ -3,7 +3,6 @@ package sigproc
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func almostEqual(a, b, tol float64) bool {
@@ -116,28 +115,6 @@ func TestScaleOffset(t *testing.T) {
 	}
 }
 
-func TestAppendSample(t *testing.T) {
-	var s Signal
-	s.AppendSample(1, 2)
-	s.AppendSample(3, 4)
-	if s.Channels() != 2 || s.Len() != 2 {
-		t.Fatalf("shape = (%d ch, %d n), want (2, 2)", s.Channels(), s.Len())
-	}
-	if s.Data[1][1] != 4 {
-		t.Errorf("Data[1][1] = %v, want 4", s.Data[1][1])
-	}
-}
-
-func TestAppendSampleMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched AppendSample did not panic")
-		}
-	}()
-	s := New(1, 2, 0)
-	s.AppendSample(1.0)
-}
-
 func TestMeanStdRMS(t *testing.T) {
 	s := &Signal{Rate: 1, Data: [][]float64{{1, 2, 3, 4}, {0, 0, 0, 0}}}
 	if got := s.Mean(); !almostEqual(got[0], 2.5, 1e-12) || got[1] != 0 {
@@ -174,70 +151,5 @@ func TestConcatIntoEmpty(t *testing.T) {
 	}
 	if dst.Channels() != 3 || dst.Len() != 5 {
 		t.Errorf("shape = (%d, %d), want (3, 5)", dst.Channels(), dst.Len())
-	}
-}
-
-func TestDecimate(t *testing.T) {
-	s := FromSamples(100, []float64{0, 1, 2, 3, 4, 5, 6})
-	d := s.Decimate(3)
-	if d.Rate != 100.0/3 {
-		t.Errorf("rate = %v", d.Rate)
-	}
-	want := []float64{0, 3, 6}
-	if d.Len() != len(want) {
-		t.Fatalf("len = %d, want %d", d.Len(), len(want))
-	}
-	for i, w := range want {
-		if d.Data[0][i] != w {
-			t.Errorf("sample %d = %v, want %v", i, d.Data[0][i], w)
-		}
-	}
-}
-
-func TestResampleLinearIdentity(t *testing.T) {
-	s := FromSamples(100, []float64{0, 1, 2, 3})
-	r := s.ResampleLinear(100)
-	if r.Len() != 4 {
-		t.Fatalf("identity resample len = %d, want 4", r.Len())
-	}
-	for i := range s.Data[0] {
-		if !almostEqual(r.Data[0][i], s.Data[0][i], 1e-12) {
-			t.Errorf("sample %d = %v, want %v", i, r.Data[0][i], s.Data[0][i])
-		}
-	}
-}
-
-func TestResampleLinearUpsample(t *testing.T) {
-	s := FromSamples(10, []float64{0, 10})
-	r := s.ResampleLinear(20)
-	// Positions: 0, 0.05, 0.1 s -> values 0, 5, 10.
-	want := []float64{0, 5, 10}
-	if r.Len() != len(want) {
-		t.Fatalf("len = %d, want %d", r.Len(), len(want))
-	}
-	for i, w := range want {
-		if !almostEqual(r.Data[0][i], w, 1e-12) {
-			t.Errorf("sample %d = %v, want %v", i, r.Data[0][i], w)
-		}
-	}
-}
-
-// Property: Decimate(1) is the identity on sample values.
-func TestDecimateByOneIdentity(t *testing.T) {
-	f := func(vals []float64) bool {
-		s := FromSamples(50, vals)
-		d := s.Decimate(1)
-		if d.Len() != len(vals) {
-			return false
-		}
-		for i := range vals {
-			if d.Data[0][i] != vals[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

@@ -71,17 +71,3 @@ func Gaussian(n int, sigma float64) []float64 {
 	}
 	return w
 }
-
-// WindowByName resolves the window names used in Table III.
-// Known names: "boxcar", "hann", "blackman-harris" (alias "bh").
-// Unknown names fall back to Boxcar.
-func WindowByName(name string) WindowFunc {
-	switch name {
-	case "hann":
-		return Hann
-	case "blackman-harris", "bh":
-		return BlackmanHarris
-	default:
-		return Boxcar
-	}
-}

@@ -80,24 +80,3 @@ func TestGaussianDegenerateSigma(t *testing.T) {
 		t.Errorf("Gaussian(0) length = %d, want 0", len(got))
 	}
 }
-
-func TestWindowByName(t *testing.T) {
-	tests := []struct {
-		name  string
-		check func([]float64) bool
-	}{
-		{"boxcar", func(w []float64) bool { return w[0] == 1 }},
-		{"hann", func(w []float64) bool { return almostEqual(w[0], 0, 1e-12) }},
-		{"blackman-harris", func(w []float64) bool { return w[0] < 1e-4 }},
-		{"bh", func(w []float64) bool { return w[0] < 1e-4 }},
-		{"unknown", func(w []float64) bool { return w[0] == 1 }},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			w := WindowByName(tt.name)(16)
-			if !tt.check(w) {
-				t.Errorf("window %q first sample = %v", tt.name, w[0])
-			}
-		})
-	}
-}

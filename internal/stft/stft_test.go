@@ -2,8 +2,10 @@ package stft
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
+	"nsync/internal/scratch"
 	"nsync/internal/sigproc"
 )
 
@@ -176,5 +178,45 @@ func TestTransformEmptyInput(t *testing.T) {
 	}
 	if spec.Len() != 0 {
 		t.Errorf("frames = %d, want 0", spec.Len())
+	}
+}
+
+func randomSignal(rng *rand.Rand, rate float64, channels, n int) *sigproc.Signal {
+	s := sigproc.New(rate, channels, n)
+	for c := 0; c < channels; c++ {
+		for i := 0; i < n; i++ {
+			s.Data[c][i] = rng.NormFloat64()
+		}
+	}
+	return s
+}
+
+// TestTransformPooledEquivalence runs Transform pooled+poisoned and
+// unpooled; outputs must be byte-identical.
+func TestTransformPooledEquivalence(t *testing.T) {
+	scratch.SetPoison(true)
+	defer scratch.SetPoison(false)
+	rng := rand.New(rand.NewSource(44))
+	sig := randomSignal(rng, 1000, 2, 900)
+	cfg := Config{DeltaF: 10, DeltaT: 0.05, Window: sigproc.Hann, Log: true}
+	if _, err := Transform(sig, cfg); err != nil { // warm the pool
+		t.Fatal(err)
+	}
+	pooled, err := Transform(sig, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch.SetEnabled(false)
+	fresh, err := Transform(sig, cfg)
+	scratch.SetEnabled(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := range fresh.Data {
+		for f := range fresh.Data[c] {
+			if pooled.Data[c][f] != fresh.Data[c][f] {
+				t.Fatalf("bin %d frame %d: pooled %v != fresh %v", c, f, pooled.Data[c][f], fresh.Data[c][f])
+			}
+		}
 	}
 }

@@ -31,9 +31,9 @@ func randomPair(rng *rand.Rand, channels, nx, ny int) (*sigproc.Signal, *sigproc
 // on and poison on (so the second run consumes poisoned recycled buffers —
 // any read of recycled contents becomes NaN-loud), then once with pooling
 // disabled, and all outputs must match exactly. Covers the similarity
-// array, plain and biased delays (on a plain x and through a prepared
-// Reference), and GCC-PHAT, over shapes that exercise both the direct and
-// the FFT cross-correlation branches.
+// array and plain and biased delays (on a plain x and through a prepared
+// Reference), over shapes that exercise both the direct and the FFT
+// cross-correlation branches.
 func TestPooledEquivalence(t *testing.T) {
 	scratch.SetPoison(true)
 	defer scratch.SetPoison(false)
@@ -52,7 +52,6 @@ func TestPooledEquivalence(t *testing.T) {
 
 		type outcome struct {
 			sim             []float64
-			gcc             []float64
 			d, db, dba, dbi int
 			s, sb, sba, sbi float64
 		}
@@ -84,10 +83,6 @@ func TestPooledEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			o.gcc, err = GCCPHATArray(x, y)
-			if err != nil {
-				t.Fatal(err)
-			}
 			return o
 		}
 
@@ -111,7 +106,6 @@ func TestPooledEquivalence(t *testing.T) {
 			t.Errorf("shape %+v: DelayBiasedIn pooled (%d, %v) != fresh (%d, %v)", sh, pooled.dbi, pooled.sbi, fresh.dbi, fresh.sbi)
 		}
 		mustEqual(t, "SimilarityArray", pooled.sim, fresh.sim)
-		mustEqual(t, "GCCPHATArray", pooled.gcc, fresh.gcc)
 	}
 }
 

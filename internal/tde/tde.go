@@ -36,9 +36,8 @@ type corrBuf struct {
 	dots    []float64 // sliding cross-terms of a lane pair
 	live    []int     // lanes whose template is not constant
 	stats   []templateStats
-	// fx/fy/fz are FFT operands: x's lane spectra, x's transform buffer and
-	// the template's on the fast path; both operands and the whitened
-	// cross-spectrum on the GCC-PHAT path.
+	// fx/fy/fz are the fast path's FFT operands: x's lane spectra, x's
+	// transform buffer and the template's.
 	fx, fy, fz []complex128
 
 	// winData backs the sliding window view of the naive (non-fast) path;
@@ -77,28 +76,17 @@ func poisonFloats(s []float64) {
 	}
 }
 
-// Estimator performs time delay estimation with a configurable similarity
-// function. The zero value is not usable; construct with New.
+// Estimator performs time delay estimation with the correlation coefficient.
+// The zero value is not usable; construct with New.
 type Estimator struct {
-	sim     sigproc.SimilarityFunc
 	stacked bool
-	// fastCorr enables the FFT/prefix-sum fast path, valid only for the
-	// default Pearson-correlation similarity with channel averaging.
+	// fastCorr enables the FFT/prefix-sum fast path, valid only with
+	// channel averaging.
 	fastCorr bool
 }
 
 // Option configures an Estimator.
 type Option func(*Estimator)
-
-// WithSimilarity replaces the default Pearson-correlation similarity.
-// Custom similarities use the naive sliding method rather than the FFT fast
-// path.
-func WithSimilarity(f sigproc.SimilarityFunc) Option {
-	return func(e *Estimator) {
-		e.sim = f
-		e.fastCorr = false
-	}
-}
 
 // WithoutFastPath forces the naive O(Nx*Ny) sliding method even for the
 // default correlation similarity. Exists for equivalence tests and
@@ -118,9 +106,9 @@ func WithStackedChannels() Option {
 }
 
 // New returns an Estimator using the correlation coefficient, the NSYNC
-// default similarity function.
+// similarity function.
 func New(opts ...Option) *Estimator {
-	e := &Estimator{sim: sigproc.Correlation, fastCorr: true}
+	e := &Estimator{fastCorr: true}
 	for _, o := range opts {
 		o(e)
 	}
@@ -172,9 +160,9 @@ func (e *Estimator) similarityInto(buf *corrBuf, x, y *sigproc.Signal, cached la
 			err error
 		)
 		if e.stacked {
-			s, err = sigproc.StackedSimilarity(e.sim, win, y)
+			s, err = sigproc.StackedSimilarity(sigproc.Correlation, win, y)
 		} else {
-			s, err = sigproc.MultiChannelSimilarity(e.sim, win, y)
+			s, err = sigproc.MultiChannelSimilarity(sigproc.Correlation, win, y)
 		}
 		if err != nil {
 			return nil, err
@@ -254,13 +242,6 @@ func (buf *corrBuf) biasedArgmax(s []float64, center int, sigma float64) int {
 	w := gaussianWeights(sigma, biasReach(len(s), center))
 	buf.biased = biasedScoresInto(scratch.Resize(buf.biased, len(s)), s, center, w)
 	return argmax(buf.biased)
-}
-
-// BiasedScores applies the TDEB Gaussian bias, centered on the middle of the
-// array, to a similarity array and returns the biased scores. The input is
-// not modified.
-func BiasedScores(s []float64, sigma float64) []float64 {
-	return BiasedScoresAt(s, (len(s)-1)/2, sigma)
 }
 
 // BiasedScoresAt applies the TDEB Gaussian bias centered at the given index.

@@ -189,7 +189,7 @@ func TestDelayBiasedAtCustomCenter(t *testing.T) {
 
 func TestBiasedScoresProperties(t *testing.T) {
 	s := []float64{-0.5, 0.2, 0.9, 0.2, -0.5}
-	b := BiasedScores(s, 1)
+	b := BiasedScoresAt(s, (len(s)-1)/2, 1)
 	if len(b) != len(s) {
 		t.Fatalf("length = %d, want %d", len(b), len(s))
 	}
@@ -201,8 +201,8 @@ func TestBiasedScoresProperties(t *testing.T) {
 	if b[2] <= b[0] || b[2] <= b[4] {
 		t.Error("center score should dominate after bias")
 	}
-	if got := BiasedScores(nil, 1); len(got) != 0 {
-		t.Errorf("BiasedScores(nil) = %v, want empty", got)
+	if got := BiasedScoresAt(nil, 0, 1); len(got) != 0 {
+		t.Errorf("BiasedScoresAt(nil) = %v, want empty", got)
 	}
 }
 
@@ -233,19 +233,6 @@ func TestWithStackedChannels(t *testing.T) {
 	}
 	if d != 60 {
 		t.Errorf("stacked Delay = %d, want 60", d)
-	}
-}
-
-func TestWithSimilarity(t *testing.T) {
-	rng := rand.New(rand.NewSource(28))
-	x := noisySignal(rng, 200)
-	y := x.Slice(40, 100)
-	d, _, err := New(WithSimilarity(sigproc.CosineSimilarity)).Delay(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 40 {
-		t.Errorf("cosine Delay = %d, want 40", d)
 	}
 }
 
