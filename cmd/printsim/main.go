@@ -124,10 +124,7 @@ func run() error {
 		if err != nil {
 			return nil, err
 		}
-		if ready := tr.EventTime("hotend-ready"); ready > 0 {
-			tr = tr.TrimBefore(ready)
-		}
-		return tr, nil
+		return tr.Recording(), nil
 	}
 	if *fleetN > 0 {
 		if *streamAddr == "" {
@@ -180,9 +177,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		if ready := tr.EventTime("hotend-ready"); ready > 0 {
-			tr = tr.TrimBefore(ready)
-		}
+		tr = tr.Recording()
 		base := fmt.Sprintf("%s_%s_%d", prof.Name, label, s)
 		if *streamAddr != "" {
 			id := *sessionID

@@ -35,10 +35,7 @@ func record(scale experiment.Scale, prog *gcode.Program, seed int64) (*nsync.Sig
 	if err != nil {
 		return nil, err
 	}
-	if ready := tr.EventTime("hotend-ready"); ready > 0 {
-		tr = tr.TrimBefore(ready)
-	}
-	return sensor.Acquire(tr, sensor.ACC, scale.Sensor, seed)
+	return sensor.Acquire(tr.Recording(), sensor.ACC, scale.Sensor, seed)
 }
 
 func run() error {

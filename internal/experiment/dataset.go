@@ -132,12 +132,7 @@ func (s Scale) simulate(prog *gcode.Program, prof printer.Profile, label string,
 	if err != nil {
 		return nil, fmt.Errorf("experiment: simulate %s/%s seed %d: %w", prof.Name, label, seed, err)
 	}
-	// Anchor the recording at the end of the heating preamble: heat waits
-	// have random durations, and the paper's IDS aligns signals at the
-	// beginning of the *printing* process.
-	if ready := tr.EventTime("hotend-ready"); ready > 0 {
-		tr = tr.TrimBefore(ready)
-	}
+	tr = tr.Recording()
 	sigs, err := sensor.AcquireAll(tr, s.Sensor, seed)
 	if err != nil {
 		return nil, err

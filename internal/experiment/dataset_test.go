@@ -1,9 +1,15 @@
 package experiment
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"runtime"
 	"sync"
 	"testing"
 
+	"nsync/internal/ids"
 	"nsync/internal/printer"
 	"nsync/internal/sensor"
 )
@@ -189,5 +195,64 @@ func TestGenerateUnknownPrinter(t *testing.T) {
 	prof.Name = "XYZ"
 	if _, err := Generate(s, prof, 1); err == nil {
 		t.Error("printer without DWM params: want error")
+	}
+}
+
+// rosterDigest hashes every sample bit of a dataset's signals, run by run in
+// roster order, with each run's label, seed, duration and layer starts.
+func rosterDigest(ds *Dataset) string {
+	h := sha256.New()
+	var b [8]byte
+	put := func(x uint64) {
+		binary.LittleEndian.PutUint64(b[:], x)
+		h.Write(b[:])
+	}
+	runs := append([]*ids.Run{ds.Ref}, ds.Train...)
+	runs = append(runs, ds.TestBenign...)
+	for _, r := range append(runs, ds.TestMalicious...) {
+		h.Write([]byte(r.Label))
+		put(uint64(r.Seed))
+		put(math.Float64bits(r.Duration))
+		for _, l := range r.LayerTimes {
+			put(math.Float64bits(l))
+		}
+		for _, ch := range sensor.AllChannels {
+			sig := r.Signals[ch]
+			put(math.Float64bits(sig.Rate))
+			for _, lane := range sig.Data {
+				put(uint64(len(lane)))
+				for _, x := range lane {
+					put(math.Float64bits(x))
+				}
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// BenchmarkGenerate simulates the bench's roster (the CI scale cut to a
+// reference, 6 training prints, 5 benign test prints and one print per
+// attack) on each printer at seed 1000. It reports GC cycles per roster and
+// logs the roster's digest, so running it in two trees sizes a simulator
+// change and shows whether any sample bit moved.
+func BenchmarkGenerate(b *testing.B) {
+	s := CI()
+	s.Counts = Counts{Train: 6, TestBenign: 5, PerAttack: 1}
+	for _, prof := range Profiles() {
+		b.Run(prof.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			var ds *Dataset
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < b.N; i++ {
+				var err error
+				if ds, err = Generate(s, prof, 1000); err != nil {
+					b.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.NumGC-before.NumGC)/float64(b.N), "gc/op")
+			b.Logf("roster digest %s", rosterDigest(ds))
+		})
 	}
 }

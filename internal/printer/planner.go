@@ -14,31 +14,36 @@ type move struct {
 	dwell         float64 // seconds; > 0 for pure dwells (G4, gaps)
 }
 
-// profileTimes solves the trapezoidal velocity profile of a move: accelerate
+// trapezoid is a move's solved velocity profile: phase durations and the
+// achieved peak velocity.
+type trapezoid struct {
+	tAcc, tCruise, tDec, vPeak float64
+}
+
+// profile solves the trapezoidal velocity profile of a move: accelerate
 // from vIn to vPeak, cruise, decelerate to vOut, covering dist with
-// acceleration a. Returns phase durations and the achieved peak velocity.
-func (m *move) profileTimes(a float64) (tAcc, tCruise, tDec, vPeak float64) {
+// acceleration a.
+func (m *move) profile(a float64) trapezoid {
 	if m.dist <= 0 || a <= 0 {
-		return 0, 0, 0, 0
+		return trapezoid{}
 	}
 	v := m.feed
 	vIn, vOut := m.vIn, m.vOut
 	// Peak velocity limited by distance: the triangle profile peak.
 	vTri := math.Sqrt((2*a*m.dist + vIn*vIn + vOut*vOut) / 2)
-	vPeak = math.Min(v, vTri)
+	vPeak := math.Min(v, vTri)
 	vPeak = math.Max(vPeak, math.Max(vIn, vOut)) // numerical safety
-	tAcc = (vPeak - vIn) / a
-	tDec = (vPeak - vOut) / a
-	dAcc := (vIn + vPeak) / 2 * tAcc
-	dDec := (vOut + vPeak) / 2 * tDec
+	p := trapezoid{tAcc: (vPeak - vIn) / a, tDec: (vPeak - vOut) / a, vPeak: vPeak}
+	dAcc := (vIn + vPeak) / 2 * p.tAcc
+	dDec := (vOut + vPeak) / 2 * p.tDec
 	dCruise := m.dist - dAcc - dDec
 	if dCruise < 0 {
 		dCruise = 0
 	}
 	if vPeak > 0 {
-		tCruise = dCruise / vPeak
+		p.tCruise = dCruise / vPeak
 	}
-	return tAcc, tCruise, tDec, vPeak
+	return p
 }
 
 // duration returns the total move time with acceleration a.
@@ -54,27 +59,27 @@ func (m *move) duration(a float64) float64 {
 		}
 		return 0
 	}
-	tAcc, tCruise, tDec, _ := m.profileTimes(a)
-	return tAcc + tCruise + tDec
+	p := m.profile(a)
+	return p.tAcc + p.tCruise + p.tDec
 }
 
-// at evaluates the move at local time t (0 <= t <= duration): distance
-// travelled along the path and scalar speed.
-func (m *move) at(t, a float64) (s, v float64) {
+// at evaluates the move, whose profile with acceleration a is p, at local
+// time t (0 <= t <= duration): distance travelled along the path and scalar
+// speed.
+func (m *move) at(t, a float64, p trapezoid) (s, v float64) {
 	if m.dwell > 0 || m.dist <= 0 {
 		return 0, 0
 	}
-	tAcc, tCruise, tDec, vPeak := m.profileTimes(a)
+	tAcc, tCruise, tDec, vPeak := p.tAcc, p.tCruise, p.tDec, p.vPeak
+	dAcc := (m.vIn + vPeak) / 2 * tAcc
 	switch {
 	case t <= 0:
 		return 0, m.vIn
 	case t < tAcc:
 		return m.vIn*t + a*t*t/2, m.vIn + a*t
 	case t < tAcc+tCruise:
-		dAcc := (m.vIn + vPeak) / 2 * tAcc
 		return dAcc + vPeak*(t-tAcc), vPeak
 	case t < tAcc+tCruise+tDec:
-		dAcc := (m.vIn + vPeak) / 2 * tAcc
 		td := t - tAcc - tCruise
 		return dAcc + vPeak*tCruise + vPeak*td - a*td*td/2, vPeak - a*td
 	default:

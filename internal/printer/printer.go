@@ -383,11 +383,12 @@ func (s *simulator) executeMove(m *move) {
 	}
 	wall := dur * jitter
 	eRate := (m.eEnd - m.eStart) / wall
+	prof := m.profile(s.prof.Accel)
 	s.advance(wall, func(tWall float64) (Vec3, Vec3, float64) {
 		// Map wall-clock time back to nominal profile time: the move takes
 		// jitter times longer but follows the same geometric path.
 		tNom := tWall / jitter
-		dist, speed := m.at(tNom, s.prof.Accel)
+		dist, speed := m.at(tNom, s.prof.Accel, prof)
 		p := m.start.Add(m.dir.Mul(dist))
 		v := m.dir.Mul(speed / jitter)
 		return p, v, eRate
@@ -448,18 +449,20 @@ func (s *simulator) advance(dt float64, motion func(t float64) (Vec3, Vec3, floa
 	t0 := s.timeNow
 	end := t0 + dt
 	rate := s.opts.TraceRate
-	for {
-		tickTime := float64(s.nextTick) / rate
-		if tickTime > end {
-			break
-		}
-		tLocal := tickTime - t0
+	// The step emits every tick at or before end; reserve their slots at
+	// once.
+	k := 0
+	for float64(s.nextTick+k)/rate <= end {
+		k++
+	}
+	for i := s.trace.reserve(k); i < s.trace.Len(); i++ {
+		tLocal := float64(s.nextTick)/rate - t0
 		pos, vel, eRate := s.pos, Vec3{}, 0.0
 		if motion != nil {
 			pos, vel, eRate = motion(tLocal)
 		}
 		s.stepThermal(1 / rate)
-		s.emitSample(pos, vel, eRate)
+		s.emitSample(i, pos, vel, eRate)
 		s.nextTick++
 	}
 	s.timeNow = end
@@ -485,9 +488,8 @@ func (s *simulator) stepThermal(dt float64) {
 	stepOne(&s.bedT, &s.bedOn, s.bedTgt, s.prof.Bed, s.bedPower)
 }
 
-// emitSample appends the current physical state to the trace.
-func (s *simulator) emitSample(pos Vec3, vel Vec3, eRate float64) {
-	i := s.trace.grow()
+// emitSample writes the current physical state into trace slot i.
+func (s *simulator) emitSample(i int, pos Vec3, vel Vec3, eRate float64) {
 	tr := s.trace
 	tr.X[i], tr.Y[i], tr.Z[i] = pos.X, pos.Y, pos.Z
 	tr.VX[i], tr.VY[i], tr.VZ[i] = vel.X, vel.Y, vel.Z
@@ -497,12 +499,11 @@ func (s *simulator) emitSample(pos Vec3, vel Vec3, eRate float64) {
 		// than failing mid-print; tests catch unreachable toolpaths.
 		act = s.prevAct
 	}
-	if s.havePrev {
-		for m := 0; m < 3; m++ {
+	for m := 0; m < 3; m++ {
+		tr.MotorV[m][i] = 0
+		if s.havePrev {
 			tr.MotorV[m][i] = (act[m] - s.prevAct[m]) * tr.Rate
 		}
-	}
-	for m := 0; m < 3; m++ {
 		tr.MotorP[m][i] = act[m]
 	}
 	s.prevAct = act
@@ -512,6 +513,7 @@ func (s *simulator) emitSample(pos Vec3, vel Vec3, eRate float64) {
 	tr.Fan[i] = s.fan
 	tr.Hotend[i] = s.hotendT
 	tr.Bed[i] = s.bedT
+	tr.HotendOn[i], tr.BedOn[i] = 0, 0
 	if s.hotendOn {
 		tr.HotendOn[i] = 1
 	}

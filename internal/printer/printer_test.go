@@ -85,7 +85,8 @@ func TestDeltaMotorsMoveNonlinearly(t *testing.T) {
 
 func TestTrapezoidProfile(t *testing.T) {
 	m := move{dist: 100, feed: 50, dir: Vec3{1, 0, 0}}
-	tAcc, tCruise, tDec, vPeak := m.profileTimes(1000)
+	p := m.profile(1000)
+	tAcc, tCruise, tDec, vPeak := p.tAcc, p.tCruise, p.tDec, p.vPeak
 	if vPeak != 50 {
 		t.Errorf("vPeak = %v, want 50", vPeak)
 	}
@@ -97,7 +98,7 @@ func TestTrapezoidProfile(t *testing.T) {
 		t.Errorf("tCruise = %v, want 1.95", tCruise)
 	}
 	// Total distance covered matches.
-	s, v := m.at(tAcc+tCruise+tDec, 1000)
+	s, v := m.at(tAcc+tCruise+tDec, 1000, p)
 	if math.Abs(s-100) > 1e-6 || math.Abs(v) > 1e-6 {
 		t.Errorf("end state s=%v v=%v", s, v)
 	}
@@ -106,13 +107,13 @@ func TestTrapezoidProfile(t *testing.T) {
 func TestTriangleProfile(t *testing.T) {
 	// Too short to reach cruise speed.
 	m := move{dist: 1, feed: 100, dir: Vec3{1, 0, 0}}
-	_, tCruise, _, vPeak := m.profileTimes(1000)
+	p := m.profile(1000)
 	want := math.Sqrt(1000) // sqrt(2*a*d/2) = sqrt(a*d)
-	if math.Abs(vPeak-want) > 1e-9 {
-		t.Errorf("vPeak = %v, want %v", vPeak, want)
+	if math.Abs(p.vPeak-want) > 1e-9 {
+		t.Errorf("vPeak = %v, want %v", p.vPeak, want)
 	}
-	if tCruise > 1e-9 {
-		t.Errorf("tCruise = %v, want 0", tCruise)
+	if p.tCruise > 1e-9 {
+		t.Errorf("tCruise = %v, want 0", p.tCruise)
 	}
 }
 
@@ -120,9 +121,10 @@ func TestMoveAtMonotone(t *testing.T) {
 	m := move{dist: 10, feed: 30, vIn: 5, vOut: 10, dir: Vec3{1, 0, 0}}
 	a := 500.0
 	dur := m.duration(a)
+	p := m.profile(a)
 	prev := -1.0
 	for i := 0; i <= 100; i++ {
-		s, v := m.at(dur*float64(i)/100, a)
+		s, v := m.at(dur*float64(i)/100, a, p)
 		if s < prev-1e-9 {
 			t.Fatalf("distance went backwards at %d: %v < %v", i, s, prev)
 		}
@@ -417,7 +419,7 @@ func TestNoKinematicsError(t *testing.T) {
 }
 
 func TestInterp(t *testing.T) {
-	field := []float64{0, 10, 20}
+	tr := &Trace{Rate: 10, X: []float64{0, 10, 20}}
 	tests := []struct {
 		t    float64
 		want float64
@@ -425,12 +427,12 @@ func TestInterp(t *testing.T) {
 		{-1, 0}, {0, 0}, {0.05, 5}, {0.1, 10}, {0.15, 15}, {0.2, 20}, {5, 20},
 	}
 	for _, tt := range tests {
-		if got := Interp(field, 10, tt.t); math.Abs(got-tt.want) > 1e-9 {
-			t.Errorf("Interp(t=%v) = %v, want %v", tt.t, got, tt.want)
+		if got := tr.At(tt.t).Of(tr.X); math.Abs(got-tt.want) > 1e-9 {
+			t.Errorf("At(%v).Of(X) = %v, want %v", tt.t, got, tt.want)
 		}
 	}
-	if got := Interp(nil, 10, 0.5); got != 0 {
-		t.Errorf("Interp(empty) = %v, want 0", got)
+	if got := tr.At(0.05).Of(tr.Y); got != 0 {
+		t.Errorf("At(0.05).Of(empty) = %v, want 0", got)
 	}
 }
 

@@ -70,45 +70,71 @@ func (tr *Trace) Duration() float64 {
 	return float64(tr.Len()) / tr.Rate
 }
 
-// grow appends one zeroed sample slot and returns its index.
-func (tr *Trace) grow() int {
-	tr.X = append(tr.X, 0)
-	tr.Y = append(tr.Y, 0)
-	tr.Z = append(tr.Z, 0)
-	tr.VX = append(tr.VX, 0)
-	tr.VY = append(tr.VY, 0)
-	tr.VZ = append(tr.VZ, 0)
-	for m := 0; m < 3; m++ {
-		tr.MotorV[m] = append(tr.MotorV[m], 0)
-		tr.MotorP[m] = append(tr.MotorP[m], 0)
+// floatFields points at every per-sample float field of the trace.
+func (tr *Trace) floatFields() [19]*[]float64 {
+	return [...]*[]float64{
+		&tr.X, &tr.Y, &tr.Z, &tr.VX, &tr.VY, &tr.VZ,
+		&tr.MotorV[0], &tr.MotorV[1], &tr.MotorV[2],
+		&tr.MotorP[0], &tr.MotorP[1], &tr.MotorP[2],
+		&tr.E, &tr.EVel, &tr.Fan, &tr.Hotend, &tr.Bed, &tr.HotendOn, &tr.BedOn,
 	}
-	tr.E = append(tr.E, 0)
-	tr.EVel = append(tr.EVel, 0)
-	tr.Fan = append(tr.Fan, 0)
-	tr.Hotend = append(tr.Hotend, 0)
-	tr.Bed = append(tr.Bed, 0)
-	tr.HotendOn = append(tr.HotendOn, 0)
-	tr.BedOn = append(tr.BedOn, 0)
-	tr.Layer = append(tr.Layer, -1)
-	return tr.Len() - 1
 }
 
-// Interp linearly interpolates a trace field at an arbitrary time. Sensor
-// models running faster than the master rate use this to upsample.
-func Interp(field []float64, rate, t float64) float64 {
+// reserve extends every per-sample field by k slots and returns the index
+// of the first. The fields share one capacity and grow together, at least
+// doubling, so a run copies each sample a bounded number of times. The
+// caller writes every field of every reserved slot.
+func (tr *Trace) reserve(k int) int {
+	i := tr.Len()
+	n := i + k
+	if n > cap(tr.X) {
+		c := max(2*cap(tr.X), n)
+		for _, f := range tr.floatFields() {
+			*f = append(make([]float64, 0, c), *f...)
+		}
+		tr.Layer = append(make([]int, 0, c), tr.Layer...)
+	}
+	for _, f := range tr.floatFields() {
+		*f = (*f)[:n]
+	}
+	tr.Layer = tr.Layer[:n]
+	return i
+}
+
+// A Cursor is one time located on a trace's sample grid: the sample at or
+// before it and the weight of the next. Sensor models running faster than
+// the master rate read every field they need at a time through one Cursor,
+// so the time is located once.
+type Cursor struct {
+	i    int
+	frac float64
+	edge bool // at or before the first sample, or at or past the last
+}
+
+// At locates time t (s) on the trace's sample grid.
+func (tr *Trace) At(t float64) Cursor {
+	pos := t * tr.Rate
+	if pos <= 0 {
+		return Cursor{edge: true}
+	}
+	i := int(pos)
+	if n := tr.Len(); i >= n-1 {
+		return Cursor{i: n - 1, edge: true}
+	}
+	return Cursor{i: i, frac: pos - float64(i)}
+}
+
+// Of linearly interpolates a field of the trace at the cursor. Before the
+// first sample it reads the first, past the last the last, and an empty
+// field reads 0.
+func (c Cursor) Of(field []float64) float64 {
 	if len(field) == 0 {
 		return 0
 	}
-	pos := t * rate
-	if pos <= 0 {
-		return field[0]
+	if c.edge {
+		return field[c.i]
 	}
-	i := int(pos)
-	if i >= len(field)-1 {
-		return field[len(field)-1]
-	}
-	frac := pos - float64(i)
-	return field[i]*(1-frac) + field[i+1]*frac
+	return field[c.i]*(1-c.frac) + field[c.i+1]*c.frac
 }
 
 // Validate performs internal consistency checks, mainly for tests.
@@ -154,13 +180,25 @@ func (tr *Trace) Validate() error {
 	return nil
 }
 
-// TrimBefore returns a copy of the trace with everything before time t
-// removed, re-anchoring timestamps to the new origin. Layer starts and
-// events that fall before t are dropped. The paper's IDS aligns observed
-// and reference signals "at the beginning" of the printing process; because
-// heat-up waits have random durations, recordings are anchored at the end
-// of the preamble rather than at power-on.
-func (tr *Trace) TrimBefore(t float64) *Trace {
+// Recording returns the part of the trace a side-channel recording covers,
+// re-anchored to start at 0: everything from the end of the heat-up
+// preamble (the last "hotend-ready" event) on. The paper's IDS aligns
+// observed and reference signals "at the beginning" of the printing
+// process; because heat-up waits have random durations, recordings are
+// anchored at the end of the preamble rather than at power-on. A trace
+// without the event is recorded whole.
+func (tr *Trace) Recording() *Trace {
+	if ready := tr.eventTime("hotend-ready"); ready > 0 {
+		return tr.trimBefore(ready)
+	}
+	return tr
+}
+
+// trimBefore returns a view of the trace with everything before time t
+// removed, re-anchoring timestamps to the new origin. The view's samples
+// share the trace's storage; layer starts and events that fall before t
+// are dropped.
+func (tr *Trace) trimBefore(t float64) *Trace {
 	cut := int(t * tr.Rate)
 	if cut <= 0 {
 		return tr
@@ -168,19 +206,11 @@ func (tr *Trace) TrimBefore(t float64) *Trace {
 	if cut > tr.Len() {
 		cut = tr.Len()
 	}
-	out := &Trace{Rate: tr.Rate}
-	slice := func(v []float64) []float64 { return append([]float64(nil), v[cut:]...) }
-	out.X, out.Y, out.Z = slice(tr.X), slice(tr.Y), slice(tr.Z)
-	out.VX, out.VY, out.VZ = slice(tr.VX), slice(tr.VY), slice(tr.VZ)
-	for m := 0; m < 3; m++ {
-		out.MotorV[m] = slice(tr.MotorV[m])
-		out.MotorP[m] = slice(tr.MotorP[m])
+	out := &Trace{Rate: tr.Rate, Layer: tr.Layer[cut:]}
+	dst := out.floatFields()
+	for k, f := range tr.floatFields() {
+		*dst[k] = (*f)[cut:]
 	}
-	out.E, out.EVel = slice(tr.E), slice(tr.EVel)
-	out.Fan = slice(tr.Fan)
-	out.Hotend, out.Bed = slice(tr.Hotend), slice(tr.Bed)
-	out.HotendOn, out.BedOn = slice(tr.HotendOn), slice(tr.BedOn)
-	out.Layer = append([]int(nil), tr.Layer[cut:]...)
 	for _, ls := range tr.LayerStart {
 		if ls >= t {
 			out.LayerStart = append(out.LayerStart, ls-t)
@@ -194,8 +224,8 @@ func (tr *Trace) TrimBefore(t float64) *Trace {
 	return out
 }
 
-// EventTime returns the time of the last event of the given kind, or -1.
-func (tr *Trace) EventTime(kind string) float64 {
+// eventTime returns the time of the last event of the given kind, or -1.
+func (tr *Trace) eventTime(kind string) float64 {
 	t := -1.0
 	for _, ev := range tr.Events {
 		if ev.Kind == kind {

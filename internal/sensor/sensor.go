@@ -208,14 +208,14 @@ func AcquireAll(tr *printer.Trace, cfg Config, seed int64) (map[Channel]*sigproc
 	return out, nil
 }
 
-// interpAt bundles the repetitive trace interpolation.
-type interpAt struct {
-	tr *printer.Trace
-}
-
-func (ia interpAt) f(field []float64, t float64) float64 {
-	return printer.Interp(field, ia.tr.Rate, t)
-}
+// Silent sources. A motor at rest (|v| == 0), an idle extruder (eV == 0)
+// and a stopped fan contribute a tone term of amplitude 0, which is ±0 for
+// a finite phase. The models skip such a term and its sines, or leave it
+// +0, wherever it reaches the sample only through a sum that starts at +0:
+// such a sum is never −0, and x + ±0 == x for every x that is not −0, so
+// every sample keeps its bits. ACC's extruder term joins accel + vib, which
+// is never −0 either, because vib is such a sum. No skip moves a random
+// draw.
 
 // acquireACC models the printhead IMU: 3 accelerometer channels (tool
 // acceleration, position-locked stepper vibration, extruder-motor vibration
@@ -232,33 +232,36 @@ func acquireACC(tr *printer.Trace, rate float64, n int, cfg Config, rng *rand.Ra
 		gyroCoupling   = 0.05
 	)
 	sig := sigproc.New(rate, 6, n)
-	ia := interpAt{tr}
 	dt := 1 / rate
 	vels := [3][]float64{tr.VX, tr.VY, tr.VZ}
 	for i := 0; i < n; i++ {
 		t := float64(i) * dt
+		before, at, after := tr.At(t-dt/2), tr.At(t), tr.At(t+dt/2)
 		var accel [3]float64
 		for a := 0; a < 3; a++ {
-			v0 := ia.f(vels[a], t-dt/2)
-			v1 := ia.f(vels[a], t+dt/2)
+			v0 := before.Of(vels[a])
+			v1 := after.Of(vels[a])
 			accel[a] = (v1 - v0) / dt / 1000 // m/s^2-ish scale
 		}
 		// Position-locked stepper vibration, summed over motors, with the
 		// harmonic-rich spectrum of real stepper cogging.
 		var vib float64
 		for m := 0; m < 3; m++ {
-			p := ia.f(tr.MotorP[m], t)
-			v := math.Abs(ia.f(tr.MotorV[m], t))
-			phase := 2 * math.Pi * vibCyclesPerMM * p
+			v := math.Abs(at.Of(tr.MotorV[m]))
+			if v == 0 {
+				continue // silent
+			}
+			phase := 2 * math.Pi * vibCyclesPerMM * at.Of(tr.MotorP[m])
 			vib += vibAmpPerSpeed * v * (math.Sin(phase) +
 				0.5*math.Sin(2*phase) + 0.3*math.Sin(3*phase) + 0.2*math.Sin(5*phase))
 		}
 		// Extruder-motor vibration, locked to filament position.
-		e := ia.f(tr.E, t)
-		eV := math.Abs(ia.f(tr.EVel, t))
-		ePhase := 2 * math.Pi * extCyclesPerMM * e
-		extVib := 1.4 * (eV / (eV + 2)) * (math.Sin(ePhase) +
-			0.5*math.Sin(2*ePhase) + 0.3*math.Sin(4*ePhase))
+		var extVib float64
+		if eV := math.Abs(at.Of(tr.EVel)); eV != 0 {
+			ePhase := 2 * math.Pi * extCyclesPerMM * at.Of(tr.E)
+			extVib = 1.4 * (eV / (eV + 2)) * (math.Sin(ePhase) +
+				0.5*math.Sin(2*ePhase) + 0.3*math.Sin(4*ePhase))
+		}
 		noise := func() float64 { return cfg.NoiseLevel * 0.01 * rng.NormFloat64() }
 		sig.Data[0][i] = accel[0] + vib + 0.8*extVib + noise()
 		sig.Data[1][i] = accel[1] + vib*0.8 + extVib + noise()
@@ -276,14 +279,13 @@ func acquireACC(tr *printer.Trace, rate float64, n int, cfg Config, rng *rand.Ra
 // with instantaneous printer state, as the paper found.
 func acquireTMP(tr *printer.Trace, rate float64, n int, cfg Config, rng *rand.Rand) *sigproc.Signal {
 	sig := sigproc.New(rate, 1, n)
-	ia := interpAt{tr}
 	drift := rng.NormFloat64() * 0.5
-	lagged := ia.f(tr.Hotend, 0) * 0.02
+	lagged := tr.At(0).Of(tr.Hotend) * 0.02
 	for i := 0; i < n; i++ {
 		t := float64(i) / rate
 		// First-order lag toward 2% of hotend temperature (sensor sits far
 		// from the heater).
-		target := ia.f(tr.Hotend, t) * 0.02
+		target := tr.At(t).Of(tr.Hotend) * 0.02
 		lagged += (target - lagged) * 0.001
 		sig.Data[0][i] = 25 + drift + lagged + cfg.NoiseLevel*0.02*rng.NormFloat64()
 	}
@@ -306,19 +308,18 @@ func acquireMAG(tr *printer.Trace, rate float64, n int, cfg Config, rng *rand.Ra
 	earth := [3]float64{20, -5, 43}
 	extCoupling := [3]float64{0.2, 0.25, 0.3}
 	sig := sigproc.New(rate, 3, n)
-	ia := interpAt{tr}
 	for i := 0; i < n; i++ {
 		t := float64(i) / rate
+		at := tr.At(t)
 		var field [3]float64
 		for m := 0; m < 3; m++ {
-			v := math.Abs(ia.f(tr.MotorV[m], t))
-			p := ia.f(tr.MotorP[m], t)
+			v := math.Abs(at.Of(tr.MotorV[m]))
 			current := 0.4 + 0.01*v
-			angle := 2 * math.Pi * rotorCyclesPerMM * p
+			angle := 2 * math.Pi * rotorCyclesPerMM * at.Of(tr.MotorP[m])
 			field[m] = current * (1 + 0.8*math.Sin(angle) + 0.4*math.Sin(2*angle))
 		}
-		e := ia.f(tr.E, t)
-		eV := math.Abs(ia.f(tr.EVel, t))
+		e := at.Of(tr.E)
+		eV := math.Abs(at.Of(tr.EVel))
 		extCurrent := (0.3 + 0.15*eV) * (1 + 0.8*math.Sin(2*math.Pi*rotorCyclesPerMM*20*e))
 		for c := 0; c < 3; c++ {
 			b := extCoupling[c] * extCurrent
@@ -349,22 +350,27 @@ func acquireAUD(tr *printer.Trace, rate float64, n int, cfg Config, rng *rand.Ra
 		{0.6, 1.0, 0.8}, // right mic motor gains
 	}
 	sig := sigproc.New(rate, 2, n)
-	ia := interpAt{tr}
 	for i := 0; i < n; i++ {
 		t := float64(i) / rate
+		at := tr.At(t)
 		var motorTone [3]float64
 		for m := 0; m < 3; m++ {
-			p := ia.f(tr.MotorP[m], t)
-			v := math.Abs(ia.f(tr.MotorV[m], t))
+			v := math.Abs(at.Of(tr.MotorV[m]))
+			if v == 0 {
+				continue // silent
+			}
+			p := at.Of(tr.MotorP[m])
 			amp := v / (v + 20) // saturating loudness with speed
 			motorTone[m] = amp * (math.Sin(2*math.Pi*toneCyclesPerMM*p) +
 				0.4*math.Sin(2*math.Pi*2*toneCyclesPerMM*p))
 		}
-		e := ia.f(tr.E, t)
-		eV := math.Abs(ia.f(tr.EVel, t))
-		extTone := (eV / (eV + 2)) * math.Sin(2*math.Pi*extCyclesPerMM*e)
-		fan := ia.f(tr.Fan, t)
-		fanTone := 0.15 * fan * math.Sin(2*math.Pi*fanHz*fan*t+fanPhase)
+		var extTone, fanTone float64
+		if eV := math.Abs(at.Of(tr.EVel)); eV != 0 {
+			extTone = (eV / (eV + 2)) * math.Sin(2*math.Pi*extCyclesPerMM*at.Of(tr.E))
+		}
+		if fan := at.Of(tr.Fan); fan != 0 {
+			fanTone = 0.15 * fan * math.Sin(2*math.Pi*fanHz*fan*t+fanPhase)
+		}
 		for c := 0; c < 2; c++ {
 			var s float64
 			for m := 0; m < 3; m++ {
@@ -388,24 +394,25 @@ func acquireEPT(tr *printer.Trace, rate float64, n int, cfg Config, rng *rand.Ra
 	mainsPhase := rng.Float64() * 2 * math.Pi
 	const driveCyclesPerMM = 8
 	sig := sigproc.New(rate, 1, n)
-	ia := interpAt{tr}
 	for i := 0; i < n; i++ {
 		t := float64(i) / rate
+		at := tr.At(t)
 		hum := math.Sin(2*math.Pi*cfg.MainsHz*t+mainsPhase) +
 			0.12*math.Sin(2*math.Pi*3*cfg.MainsHz*t+3*mainsPhase)
-		heater := ia.f(tr.HotendOn, t)
-		hum *= 1 + 0.08*heater
+		hum *= 1 + 0.08*at.Of(tr.HotendOn)
 		var drive float64
 		for m := 0; m < 3; m++ {
-			p := ia.f(tr.MotorP[m], t)
-			v := math.Abs(ia.f(tr.MotorV[m], t))
-			dPhase := 2 * math.Pi * driveCyclesPerMM * p
+			v := math.Abs(at.Of(tr.MotorV[m]))
+			if v == 0 {
+				continue // silent
+			}
+			dPhase := 2 * math.Pi * driveCyclesPerMM * at.Of(tr.MotorP[m])
 			drive += 0.12 * (v / (v + 20)) * (math.Sin(dPhase) + 0.5*math.Sin(3*dPhase))
 		}
-		e := ia.f(tr.E, t)
-		eV := math.Abs(ia.f(tr.EVel, t))
-		ePhase := 2 * math.Pi * 2 * driveCyclesPerMM * e
-		drive += 0.12 * (eV / (eV + 2)) * (math.Sin(ePhase) + 0.5*math.Sin(2*ePhase))
+		if eV := math.Abs(at.Of(tr.EVel)); eV != 0 {
+			ePhase := 2 * math.Pi * 2 * driveCyclesPerMM * at.Of(tr.E)
+			drive += 0.12 * (eV / (eV + 2)) * (math.Sin(ePhase) + 0.5*math.Sin(2*ePhase))
+		}
 		sig.Data[0][i] = 10*hum + drive + cfg.NoiseLevel*0.02*rng.NormFloat64()
 	}
 	return sig
@@ -422,16 +429,16 @@ func acquirePWR(tr *printer.Trace, rate float64, n int, cfg Config, rng *rand.Ra
 		fanAmps    = 0.08
 	)
 	sig := sigproc.New(rate, 1, n)
-	ia := interpAt{tr}
 	for i := 0; i < n; i++ {
 		t := float64(i) / rate
-		amps := hotendAmps*ia.f(tr.HotendOn, t) + bedAmps*ia.f(tr.BedOn, t) +
-			fanAmps*ia.f(tr.Fan, t)
+		at := tr.At(t)
+		amps := hotendAmps*at.Of(tr.HotendOn) + bedAmps*at.Of(tr.BedOn) +
+			fanAmps*at.Of(tr.Fan)
 		for m := 0; m < 3; m++ {
-			v := math.Abs(ia.f(tr.MotorV[m], t))
+			v := math.Abs(at.Of(tr.MotorV[m]))
 			amps += 0.002 * v
 		}
-		amps += 0.03 * math.Abs(ia.f(tr.EVel, t))
+		amps += 0.03 * math.Abs(at.Of(tr.EVel))
 		sig.Data[0][i] = amps + cfg.NoiseLevel*0.05*rng.NormFloat64()
 	}
 	return sig
@@ -451,7 +458,10 @@ func applyGainDrift(sig *sigproc.Signal, cfg Config, rng *rand.Rand) {
 }
 
 // applyFrameDrops deletes short random runs of samples, shifting everything
-// after them earlier in time — the DAQ-side time noise of the paper.
+// after them earlier in time — the DAQ-side time noise of the paper. A drop
+// event starting where an earlier one started replaces it. The drops are
+// merged into one sorted list of dropped runs, and each lane is compacted
+// in place around them.
 func applyFrameDrops(sig *sigproc.Signal, cfg Config, rng *rand.Rand) *sigproc.Signal {
 	if cfg.FrameDropRate <= 0 || cfg.FrameDropMax < 1 || sig.Len() == 0 {
 		return sig
@@ -462,29 +472,34 @@ func applyFrameDrops(sig *sigproc.Signal, cfg Config, rng *rand.Rand) *sigproc.S
 		return sig
 	}
 	n := sig.Len()
-	dropAt := make(map[int]int, drops) // start -> length
+	runs := make([][2]int, 0, drops) // [start, end) of each drop, by start
 	for k := 0; k < drops; k++ {
 		start := rng.Intn(n)
-		dropAt[start] = 1 + rng.Intn(cfg.FrameDropMax)
-	}
-	out := &sigproc.Signal{Rate: sig.Rate, Data: make([][]float64, sig.Channels())}
-	for c := range out.Data {
-		out.Data[c] = make([]float64, 0, n)
-	}
-	skip := 0
-	for i := 0; i < n; i++ {
-		if l, ok := dropAt[i]; ok && l > skip {
-			skip = l
+		end := min(start+1+rng.Intn(cfg.FrameDropMax), n)
+		j := 0
+		for j < len(runs) && runs[j][0] < start {
+			j++
 		}
-		if skip > 0 {
-			skip--
+		if j < len(runs) && runs[j][0] == start {
+			runs[j][1] = end
 			continue
 		}
-		for c := range sig.Data {
-			out.Data[c] = append(out.Data[c], sig.Data[c][i])
-		}
+		runs = append(runs, [2]int{})
+		copy(runs[j+1:], runs[j:])
+		runs[j] = [2]int{start, end}
 	}
-	return out
+	for c, lane := range sig.Data {
+		w, r := 0, 0 // write and read positions
+		for _, d := range runs {
+			if d[0] > r {
+				w += copy(lane[w:], lane[r:d[0]])
+			}
+			r = max(r, d[1])
+		}
+		w += copy(lane[w:], lane[r:])
+		sig.Data[c] = lane[:w]
+	}
+	return sig
 }
 
 // poisson samples a Poisson variate by Knuth's method (fine for small

@@ -2,10 +2,14 @@ package sensor
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"nsync/internal/gcode"
 	"nsync/internal/printer"
+	"nsync/internal/scratch"
 	"nsync/internal/sigproc"
 	"nsync/internal/slicer"
 )
@@ -294,6 +298,88 @@ func TestFrameDropsShortenSignal(t *testing.T) {
 	}
 	if with.Len() >= without.Len() {
 		t.Errorf("frame drops did not shorten: %d vs %d", with.Len(), without.Len())
+	}
+}
+
+// frameDropsBySkipScan is the frame-drop model as first written: drop
+// starts in a map, one skip counter scanned over every sample, and every
+// kept sample appended to a second copy of its lane.
+func frameDropsBySkipScan(sig *sigproc.Signal, cfg Config, rng *rand.Rand) *sigproc.Signal {
+	if cfg.FrameDropRate <= 0 || cfg.FrameDropMax < 1 || sig.Len() == 0 {
+		return sig
+	}
+	drops := poisson(rng, cfg.FrameDropRate*sig.Duration())
+	if drops == 0 {
+		return sig
+	}
+	n := sig.Len()
+	dropAt := make(map[int]int, drops)
+	for k := 0; k < drops; k++ {
+		start := rng.Intn(n)
+		dropAt[start] = 1 + rng.Intn(cfg.FrameDropMax)
+	}
+	out := &sigproc.Signal{Rate: sig.Rate, Data: make([][]float64, sig.Channels())}
+	skip := 0
+	for i := 0; i < n; i++ {
+		if l, ok := dropAt[i]; ok && l > skip {
+			skip = l
+		}
+		if skip > 0 {
+			skip--
+			continue
+		}
+		for c := range sig.Data {
+			out.Data[c] = append(out.Data[c], sig.Data[c][i])
+		}
+	}
+	return out
+}
+
+func rampSignal(channels, n int) *sigproc.Signal {
+	sig := sigproc.New(100, channels, n)
+	for c := range sig.Data {
+		for i := range sig.Data[c] {
+			sig.Data[c][i] = float64(c*n + i)
+		}
+	}
+	return sig
+}
+
+// TestFrameDropsMatchSkipScan checks the in-place compaction against the
+// skip scan on short signals with dense, overlapping and repeated drops.
+func TestFrameDropsMatchSkipScan(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		cfg := Config{FrameDropRate: float64(seed%7) * 3, FrameDropMax: 1 + int(seed%5)*3}
+		n := 1 + int(seed*37%400)
+		want := frameDropsBySkipScan(rampSignal(2, n), cfg, rand.New(rand.NewSource(seed)))
+		got := applyFrameDrops(rampSignal(2, n), cfg, rand.New(rand.NewSource(seed)))
+		for c, w := range want.Data {
+			if g := got.Data[c]; len(g) != len(w) || len(g) > 0 && !reflect.DeepEqual(g, w) {
+				t.Fatalf("seed %d (n %d, %+v) lane %d: got %v, want %v", seed, n, cfg, c, g, w)
+			}
+		}
+	}
+}
+
+// TestFrameDropsAllocateNoLane fails when dropping frames allocates a
+// buffer the size of a lane: lanes are compacted in place.
+func TestFrameDropsAllocateNoLane(t *testing.T) {
+	if scratch.RaceEnabled {
+		t.Skip("the race detector's runtime allocates on its own")
+	}
+	const n = 100000
+	sig := rampSignal(2, n) // 1000 s at 100 Hz
+	cfg := Config{FrameDropRate: 0.1, FrameDropMax: 4}
+	rng := rand.New(rand.NewSource(5))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sig = applyFrameDrops(sig, cfg, rng)
+	runtime.ReadMemStats(&after)
+	if sig.Len() == n {
+		t.Fatal("no frame dropped")
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b >= 8*n {
+		t.Errorf("dropping frames allocated %d bytes, a lane is %d", b, 8*n)
 	}
 }
 

@@ -11,8 +11,10 @@
 #
 # With a revision, it also extracts that revision's tree with git archive
 # under .bench_build/base, builds its bench the same way, prints both
-# layouts, and then every text symbol whose address or size differs
-# between the two binaries.
+# layouts, then every text symbol whose address or size differs between
+# the two binaries, and ends with one summary line: the probe's address mod
+# 64 in each binary, and how many text symbols of unchanged size moved by
+# other than a multiple of 64 bytes.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -71,7 +73,7 @@ layout "$out/nsyncbench-base"
 echo "== this tree"
 layout "$out/nsyncbench"
 echo "== text symbols whose address or size differs (base -> this tree)"
-awk -F'\t' '
+diffs="$(awk -F'\t' '
 	FNR == 1 { f++ }
 	f == 1 { base[$1] = $2; next }
 	{
@@ -88,4 +90,27 @@ awk -F'\t' '
 			print key "  " base[k] " -> -"
 		}
 	}
-' <(textsyms "$out/nsyncbench-base") <(textsyms "$out/nsyncbench")
+' <(textsyms "$out/nsyncbench-base") <(textsyms "$out/nsyncbench"))"
+printf '%s\n' "$diffs"
+
+# A line ends "0xaddr size -> 0xaddr size"; count the symbols whose size
+# held and whose address moved off its residue mod 64.
+moved=0
+while read -ra f; do
+	n=${#f[@]}
+	if ((n >= 5)) && [[ ${f[n-5]} == 0x* && ${f[n-2]} == 0x* && ${f[n-4]} == "${f[n-1]}" ]] &&
+		(((f[n-2] - f[n-5]) % 64 != 0)); then
+		moved=$((moved + 1))
+	fi
+done <<<"$diffs"
+probe() {
+	local addr
+	addr="$(go tool nm "$1" | awk '$2 == "T" && $3 == "main.(*machineProbe).loop" { print $1 }')"
+	if [ -z "$addr" ]; then
+		echo "(inlined)"
+		return
+	fi
+	echo "$((0x$addr % 64))"
+}
+echo "== summary: probe $(probe "$out/nsyncbench-base") mod 64 at base, $(probe "$out/nsyncbench") mod 64 here;" \
+	"$moved text symbols of unchanged size moved off their address mod 64"
