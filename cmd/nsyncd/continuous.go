@@ -43,6 +43,12 @@ type continuousOptions struct {
 type controller struct {
 	pool  *ingest.SharedPool
 	specs []ingest.ChannelSpec
+	// caps bounds each channel's capture in wire samples: 1.5x the trained
+	// reference's lane samples. A session longer than that cannot be a
+	// print of the trained process, and the cap bounds daemon memory on a
+	// runaway stream. Absorb never resizes a reference, so the caps are
+	// fixed at boot and read without the mutex.
+	caps []int
 
 	mu            sync.Mutex
 	eng           *rebase.Engine
@@ -60,8 +66,9 @@ type controller struct {
 // per channel, in chans order) that seed the engine's threshold window.
 // pool is the shared model pool new sessions are served from: a candidate
 // is teed into it as its shadow, and a promoted one is registered there and
-// becomes the default version.
-func newController(opts continuousOptions, chans []core.FusedMonitorChannel, feats [][]*core.Features, specs []ingest.ChannelSpec, pool *ingest.SharedPool) (*controller, error) {
+// becomes the default version. bootVersion is the boot model's version in
+// that pool.
+func newController(opts continuousOptions, chans []core.FusedMonitorChannel, feats [][]*core.Features, specs []ingest.ChannelSpec, pool *ingest.SharedPool, bootVersion string) (*controller, error) {
 	rchans := make([]rebase.Channel, len(chans))
 	for i, ch := range chans {
 		rchans[i] = rebase.Channel{Name: ch.Name, Reference: ch.Reference, Params: ch.Params, Train: feats[i]}
@@ -74,20 +81,13 @@ func newController(opts continuousOptions, chans []core.FusedMonitorChannel, fea
 		return nil, err
 	}
 
-	boot := &registry.Model{K: opts.Quorum}
-	for _, ch := range chans {
-		boot.Channels = append(boot.Channels, registry.ChannelModel{
-			Name: ch.Name, Reference: ch.Reference, Params: ch.Params,
-			Thresholds: ch.Thresholds, Health: ch.Health,
-		})
-	}
-	bootVersion, err := boot.Version()
-	if err != nil {
-		return nil, err
+	caps := make([]int, len(specs))
+	for i, ch := range chans {
+		caps[i] = ch.Reference.Len() * specs[i].Lanes * 3 / 2
 	}
 
 	c := &controller{
-		pool: pool, specs: specs, eng: eng,
+		pool: pool, specs: specs, caps: caps, eng: eng,
 		store:  opts.Store,
 		health: opts.Health, quorum: opts.Quorum,
 		rebaseAfter: opts.RebaseAfter,
@@ -229,18 +229,7 @@ func (f *captureFactory) Acquire(hello *ingest.Frame) (ingest.Sink, error) {
 	if err != nil {
 		return nil, err
 	}
-	cs := &captureSink{Sink: s, ctrl: f.ctrl, lanes: make([][]float64, len(f.ctrl.specs))}
-	for i, spec := range f.ctrl.specs {
-		// Cap the capture at 1.5x the trained reference duration: a session
-		// longer than that cannot be a print of the trained process, and the
-		// cap bounds daemon memory on a runaway stream.
-		n := 0
-		if i < len(f.ctrl.eng.Channels()) {
-			n = f.ctrl.eng.Reference(i).Len()
-		}
-		cs.caps = append(cs.caps, n*spec.Lanes*3/2)
-	}
-	return cs, nil
+	return &captureSink{Sink: s, ctrl: f.ctrl, lanes: make([][]float64, len(f.ctrl.specs)), caps: f.ctrl.caps}, nil
 }
 
 // Release implements ingest.SinkFactory.

@@ -173,7 +173,7 @@ func run() error {
 				ShadowSessions: *shadowSess, CanarySessions: *canarySess,
 				DisagreementBudget: *disagreeBgt,
 			},
-		}, chans, feats, specs, pool)
+		}, chans, feats, specs, pool, bootVersion)
 		if err != nil {
 			return err
 		}

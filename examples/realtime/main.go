@@ -40,22 +40,6 @@ func record(scale experiment.Scale, prog *gcode.Program, seed int64, fw printer.
 	return sensor.Acquire(tr.Recording(), sensor.ACC, scale.Sensor, seed)
 }
 
-// slowSecondHalf is the compromised firmware: above z = 0.3 mm it executes
-// every move 5% slower than commanded.
-func slowSecondHalf(cmd gcode.Command) *gcode.Command {
-	if z, ok := cmd.Get('Z'); ok && z > 0.3 {
-		armed = true
-	}
-	if armed && cmd.IsMove() {
-		if f, ok := cmd.Get('F'); ok {
-			cmd.Set('F', f*0.95)
-		}
-	}
-	return &cmd
-}
-
-var armed bool
-
 func run() error {
 	scale := experiment.CI()
 	benign, _, err := scale.Programs()
@@ -89,8 +73,7 @@ func run() error {
 	}
 
 	fmt.Println("printing with compromised firmware; monitor listening live...")
-	armed = false
-	observed, err := record(scale, benign, 99, slowSecondHalf)
+	observed, err := record(scale, benign, 99, printer.SpeedFirmware(0.95, 0.3))
 	if err != nil {
 		return err
 	}

@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync/atomic"
 
 	"nsync/internal/obs"
@@ -190,57 +189,6 @@ func (s *Store) Load(key string, v any) (bool, error) {
 	}
 	hits.Inc()
 	return true, nil
-}
-
-// Keys lists the key of every valid entry whose key starts with prefix (""
-// lists everything), in unspecified order. The key is read back out of each
-// entry's own header — file names are hashes and not reversible — and
-// entries that fail envelope or checksum validation are skipped, mirroring
-// Load's corrupt-is-a-miss policy: a damaged model version must not appear
-// in a version listing. Only environmental errors (unreadable directory)
-// return a non-nil error.
-func (s *Store) Keys(prefix string) ([]string, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	var keys []string
-	for _, e := range entries {
-		if e.IsDir() || filepath.Ext(e.Name()) != ".ckpt" {
-			continue
-		}
-		raw, err := os.ReadFile(filepath.Join(s.dir, e.Name()))
-		if err != nil {
-			continue
-		}
-		key, ok := entryKey(raw)
-		if !ok || !strings.HasPrefix(key, prefix) {
-			continue
-		}
-		if _, ok := parseEntry(raw, key); !ok {
-			corrupt.Inc()
-			continue
-		}
-		keys = append(keys, key)
-	}
-	return keys, nil
-}
-
-// entryKey extracts the stored key from an entry's header.
-func entryKey(raw []byte) (string, bool) {
-	const fixed = 8 + 4 + 4
-	if len(raw) < fixed || !bytes.Equal(raw[:8], magic[:]) {
-		return "", false
-	}
-	if binary.LittleEndian.Uint32(raw[8:12]) != version {
-		return "", false
-	}
-	keyLen := int(binary.LittleEndian.Uint32(raw[12:16]))
-	rest := raw[fixed:]
-	if keyLen < 0 || len(rest) < keyLen {
-		return "", false
-	}
-	return string(rest[:keyLen]), true
 }
 
 // parseEntry validates the envelope and returns the payload bytes.

@@ -176,12 +176,19 @@ func FuseVerdicts(k int, channels []ChannelVerdict) FusedVerdict {
 			fv.Votes++
 		}
 	}
-	fv.Needed = max(k, 1)
-	if fv.Healthy > 0 && fv.Needed > fv.Healthy {
-		fv.Needed = fv.Healthy
-	}
-	fv.Intrusion = fv.Healthy > 0 && fv.Votes >= fv.Needed
+	fv.Needed, fv.Intrusion = quorum(k, fv.Votes, fv.Healthy)
 	return fv
+}
+
+// quorum is the k-of-n rule batch and streaming fusion share: the quorum
+// needed is k (0 meaning 1) clamped to the healthy count, and an intrusion
+// needs at least one healthy channel and that many votes.
+func quorum(k, votes, healthy int) (needed int, intrusion bool) {
+	needed = max(k, 1)
+	if healthy > 0 && needed > healthy {
+		needed = healthy
+	}
+	return needed, healthy > 0 && votes >= needed
 }
 
 // Classify runs every channel over its observed signal and fuses the

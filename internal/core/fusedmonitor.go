@@ -216,11 +216,7 @@ func (fm *FusedMonitor) fuse() []FusedAlert {
 			votes++
 		}
 	}
-	needed := max(fm.k, 1)
-	if healthy > 0 && needed > healthy {
-		needed = healthy
-	}
-	intrusion := healthy > 0 && votes >= needed
+	needed, intrusion := quorum(fm.k, votes, healthy)
 	if !intrusion {
 		fm.alerting = false
 		return nil

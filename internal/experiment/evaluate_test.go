@@ -5,7 +5,6 @@ import (
 
 	"nsync/internal/baseline"
 	"nsync/internal/core"
-	"nsync/internal/dwm"
 	"nsync/internal/ids"
 	"nsync/internal/sensor"
 )
@@ -68,8 +67,7 @@ func TestEvaluateMooreSuffersFromTimeNoise(t *testing.T) {
 
 func TestEvaluateUntrainableIDS(t *testing.T) {
 	ds := tinyDatasets(t)["UM3"]
-	bad := &ids.NSYNC{Channel: sensor.Channel(42), Transform: ids.Raw,
-		Sync: &core.DWMSynchronizer{Params: dwm.DefaultParams(4, 2)}}
+	bad := &baseline.Moore{Channel: sensor.Channel(42), Transform: ids.Raw}
 	if _, err := Evaluate(bad, ds); err == nil {
 		t.Error("unknown channel: want error")
 	}

@@ -7,7 +7,6 @@ import (
 	"nsync/internal/fault"
 	"nsync/internal/ids"
 	"nsync/internal/sensor"
-	"nsync/internal/sigproc"
 )
 
 // RobustnessConfig parameterizes the sensor-fault robustness sweep.
@@ -78,20 +77,10 @@ func (r RobustnessRow) Label() string {
 	return fmt.Sprintf("%v/%.2f", r.Kind, r.Severity)
 }
 
-// chanState is one channel's health-gated verdict for one test run.
-type chanState struct {
-	intrusion   bool
-	quarantined bool
-}
-
-func (s chanState) verdict() core.ChannelVerdict {
-	return core.ChannelVerdict{
-		Quarantined: s.quarantined,
-		Verdict:     core.Verdict{Intrusion: s.intrusion},
-	}
-}
-
-// robustnessDataset evaluates the sweep on one printer's dataset.
+// robustnessDataset evaluates the sweep on one printer's dataset with one
+// fused detector over the fused channels: ClassifyChannel health-gates each
+// signal and runs its channel's NSYNC pipeline, and each row fuses the
+// per-channel verdicts at quorums 1 and 2.
 //
 // The expensive part of every cell is synchronizing the faulted channel's
 // test signals; the other channels' signals are untouched by the fault, so
@@ -109,21 +98,30 @@ func robustnessDataset(ds *Dataset, cfg RobustnessConfig) ([]RobustnessRow, erro
 		return nil, fmt.Errorf("experiment: fault channel %v not among fused channels %v", cfg.FaultChannel, cfg.FusedChannels)
 	}
 
-	// One trained detector per fused channel, sharing the engine pool for
-	// the per-run feature extraction (as EvaluateNSYNC does).
-	dets := make([]*core.Detector, len(cfg.FusedChannels))
+	chans := make([]core.FusedChannel, len(cfg.FusedChannels))
 	for i, ch := range cfg.FusedChannels {
 		refSig, err := ds.Ref.Signal(ch, ids.Raw)
 		if err != nil {
 			return nil, err
 		}
-		det, err := core.NewDetector(refSig, core.Config{
-			Sync: &core.DWMSynchronizer{Params: ds.Scale.DWM[ds.Printer]},
-			OCC:  core.OCCConfig{R: ds.Scale.OCCMarginNSYNC},
-		})
-		if err != nil {
-			return nil, err
+		chans[i] = core.FusedChannel{
+			Name:      ch.String(),
+			Reference: refSig,
+			Config: core.Config{
+				Sync: &core.DWMSynchronizer{Params: ds.Scale.DWM[ds.Printer]},
+				OCC:  core.OCCConfig{R: ds.Scale.OCCMarginNSYNC},
+			},
+			Health: cfg.Health,
 		}
+	}
+	fd, err := core.NewFusedDetector(chans, core.FusedConfig{})
+	if err != nil {
+		return nil, err
+	}
+	// Each channel trains on the engine pool for the per-run feature
+	// extraction (as EvaluateNSYNC does).
+	for i, ch := range cfg.FusedChannels {
+		det := fd.Detector(i)
 		feats, err := fanOut(ds.Train, func(_ int, run *ids.Run) (*core.Features, error) {
 			s, err := run.Signal(ch, ids.Raw)
 			if err != nil {
@@ -137,33 +135,32 @@ func robustnessDataset(ds *Dataset, cfg RobustnessConfig) ([]RobustnessRow, erro
 		if err := det.TrainFromFeatures(feats); err != nil {
 			return nil, err
 		}
-		dets[i] = det
 	}
 
 	runs := ds.testRuns()
 
-	// Clean per-channel states, computed once and shared by every cell.
-	clean, err := fanOut(runs, func(_ int, run *ids.Run) ([]chanState, error) {
-		states := make([]chanState, len(cfg.FusedChannels))
+	// Clean per-channel verdicts, computed once and shared by every cell.
+	clean, err := fanOut(runs, func(_ int, run *ids.Run) ([]core.ChannelVerdict, error) {
+		verdicts := make([]core.ChannelVerdict, len(cfg.FusedChannels))
 		for i, ch := range cfg.FusedChannels {
 			sig, err := run.Signal(ch, ids.Raw)
 			if err != nil {
 				return nil, err
 			}
-			st, err := channelState(dets[i], sig, cfg.Health)
+			cv, err := fd.ClassifyChannel(i, sig)
 			if err != nil {
-				return nil, fmt.Errorf("experiment: robustness %s/%v %s seed %d: %w", ds.Printer, ch, run.Label, run.Seed, err)
+				return nil, fmt.Errorf("experiment: robustness %s %s seed %d: %w", ds.Printer, run.Label, run.Seed, err)
 			}
-			states[i] = st
+			verdicts[i] = cv
 		}
-		return states, nil
+		return verdicts, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
 	// The clean baseline row.
-	rows := []RobustnessRow{buildRow(ds.Printer, 0, 0, runs, clean, func(r int) chanState {
+	rows := []RobustnessRow{buildRow(ds.Printer, 0, 0, runs, clean, func(r int) core.ChannelVerdict {
 		return clean[r][faultIdx]
 	}, faultIdx)}
 
@@ -179,10 +176,10 @@ func robustnessDataset(ds *Dataset, cfg RobustnessConfig) ([]RobustnessRow, erro
 	}
 	cellRows, err := fanOut(cells, func(_ int, c cell) (RobustnessRow, error) {
 		// Only the faulted channel needs re-synchronizing per run.
-		faulted, err := fanOut(runs, func(_ int, run *ids.Run) (chanState, error) {
+		faulted, err := fanOut(runs, func(_ int, run *ids.Run) (core.ChannelVerdict, error) {
 			sig, err := run.Signal(cfg.FaultChannel, ids.Raw)
 			if err != nil {
-				return chanState{}, err
+				return core.ChannelVerdict{}, err
 			}
 			inj, err := fault.NewInjector(run.Seed, fault.Spec{
 				Kind:     c.kind,
@@ -190,22 +187,22 @@ func robustnessDataset(ds *Dataset, cfg RobustnessConfig) ([]RobustnessRow, erro
 				Onset:    cfg.OnsetFrac * run.Duration,
 			})
 			if err != nil {
-				return chanState{}, err
+				return core.ChannelVerdict{}, err
 			}
 			bad, err := inj.Apply(sig)
 			if err != nil {
-				return chanState{}, err
+				return core.ChannelVerdict{}, err
 			}
-			st, err := channelState(dets[faultIdx], bad, cfg.Health)
+			cv, err := fd.ClassifyChannel(faultIdx, bad)
 			if err != nil {
-				return chanState{}, fmt.Errorf("experiment: robustness %v/%.2f %s seed %d: %w", c.kind, c.severity, run.Label, run.Seed, err)
+				return core.ChannelVerdict{}, fmt.Errorf("experiment: robustness %v/%.2f %s seed %d: %w", c.kind, c.severity, run.Label, run.Seed, err)
 			}
-			return st, nil
+			return cv, nil
 		})
 		if err != nil {
 			return RobustnessRow{}, err
 		}
-		return buildRow(ds.Printer, c.kind, c.severity, runs, clean, func(r int) chanState {
+		return buildRow(ds.Printer, c.kind, c.severity, runs, clean, func(r int) core.ChannelVerdict {
 			return faulted[r]
 		}, faultIdx), nil
 	})
@@ -215,48 +212,24 @@ func robustnessDataset(ds *Dataset, cfg RobustnessConfig) ([]RobustnessRow, erro
 	return append(rows, cellRows...), nil
 }
 
-// channelState health-checks one observed signal against the detector's
-// reference and computes its NSYNC verdict. A non-finite signal cannot run
-// the pipeline at all; it is quarantined with no intrusion vote, mirroring
-// FusedDetector.ClassifyChannel.
-func channelState(det *core.Detector, sig *sigproc.Signal, health core.HealthConfig) (chanState, error) {
-	reason, _, err := core.CheckSignal(det.Reference(), sig, health)
-	if err != nil {
-		return chanState{}, err
-	}
-	st := chanState{quarantined: reason != core.HealthOK}
-	if reason == core.NonFinite {
-		return st, nil
-	}
-	v, err := det.Classify(sig)
-	if err != nil {
-		return chanState{}, err
-	}
-	st.intrusion = v.Intrusion
-	return st, nil
-}
-
-// buildRow folds per-run states into one table row. faulted(r) returns the
-// faulted channel's state for run r; the other channels use their clean
-// states.
-func buildRow(printer string, kind fault.Kind, severity float64, runs []*ids.Run, clean [][]chanState, faulted func(int) chanState, faultIdx int) RobustnessRow {
+// buildRow folds per-run channel verdicts into one table row. faulted(r)
+// returns the faulted channel's verdict for run r; the other channels use
+// their clean verdicts.
+func buildRow(printer string, kind fault.Kind, severity float64, runs []*ids.Run, clean [][]core.ChannelVerdict, faulted func(int) core.ChannelVerdict, faultIdx int) RobustnessRow {
 	row := RobustnessRow{Printer: printer, Kind: kind, Severity: severity}
 	quarantined := 0
 	for r, run := range runs {
 		fs := faulted(r)
-		if fs.quarantined {
+		if fs.Quarantined {
 			quarantined++
 		}
 		// Single-channel deployment: the faulted channel's raw verdict, no
 		// health gating (a quarantined-worthy signal still yields whatever
 		// the pipeline says).
-		row.Single.record(run.Label, run.Malicious, fs.intrusion)
+		row.Single.record(run.Label, run.Malicious, fs.Verdict.Intrusion)
 
-		verdicts := make([]core.ChannelVerdict, len(clean[r]))
-		for i, st := range clean[r] {
-			verdicts[i] = st.verdict()
-		}
-		verdicts[faultIdx] = fs.verdict()
+		verdicts := append([]core.ChannelVerdict(nil), clean[r]...)
+		verdicts[faultIdx] = fs
 		row.FusedK1.record(run.Label, run.Malicious, core.FuseVerdicts(1, verdicts).Intrusion)
 		row.FusedK2.record(run.Label, run.Malicious, core.FuseVerdicts(2, verdicts).Intrusion)
 	}

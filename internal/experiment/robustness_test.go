@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nsync/internal/fault"
+	"nsync/internal/ids"
 	"nsync/internal/sensor"
 )
 
@@ -69,6 +70,36 @@ func TestRobustnessSweep(t *testing.T) {
 	if dead.Single.FPR() != 1 {
 		t.Errorf("ungated dead channel FPR = %.2f, want 1.0 (stuck alarm)", dead.Single.FPR())
 	}
+}
+
+// TestRobustnessCleanSingleMatchesTable8 pins the sweep's benign path to
+// the evaluation harness: on clean signals, the fused detector's ACC
+// channel must reach Table VIII's UM3 raw-ACC verdicts run for run, per
+// attack included.
+func TestRobustnessCleanSingleMatchesTable8(t *testing.T) {
+	ds := tinyDatasets(t)["UM3"]
+	rows, err := Robustness(map[string]*Dataset{"UM3": ds}, RobustnessConfig{
+		Kinds:      []fault.Kind{fault.StuckAt},
+		Severities: []float64{1.0},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t8, err := Table8(map[string]*Dataset{"UM3": ds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range t8 {
+		if r.Transform != ids.Raw || r.Channel != sensor.ACC {
+			continue
+		}
+		got, want := fmt.Sprintf("%+v", rows[0].Single), fmt.Sprintf("%+v", r.Result.Overall)
+		if got != want {
+			t.Errorf("clean single-ACC outcome differs from Table VIII's UM3 raw ACC:\n got %s\nwant %s", got, want)
+		}
+		return
+	}
+	t.Fatal("Table VIII has no UM3 raw ACC row")
 }
 
 func TestRobustnessWorkerCountDeterminism(t *testing.T) {

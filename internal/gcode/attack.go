@@ -206,42 +206,3 @@ func (a *VoidAttack) Apply(p *Program) (*Program, error) {
 	}
 	return out, nil
 }
-
-// FeedHoldAttack inserts G4 dwells every Interval commands, modeling a
-// sabotaged command stream that stalls the printer and causes cold joints.
-// It is an extra attack beyond Table I, exercising pure timing sabotage.
-type FeedHoldAttack struct {
-	// Interval is the number of move commands between injected dwells.
-	Interval int
-	// DwellSeconds is the duration of each injected G4.
-	DwellSeconds float64
-}
-
-var _ Attack = (*FeedHoldAttack)(nil)
-
-// Name implements Attack.
-func (a *FeedHoldAttack) Name() string { return "FeedHold" }
-
-// Apply implements Attack.
-func (a *FeedHoldAttack) Apply(p *Program) (*Program, error) {
-	if a.Interval < 1 {
-		return nil, fmt.Errorf("gcode: feed-hold interval must be >= 1, got %d", a.Interval)
-	}
-	if a.DwellSeconds <= 0 {
-		return nil, fmt.Errorf("gcode: dwell must be positive, got %v", a.DwellSeconds)
-	}
-	out := &Program{}
-	moves := 0
-	for i := range p.Commands {
-		out.Commands = append(out.Commands, p.Commands[i].Clone())
-		if p.Commands[i].IsMove() {
-			moves++
-			if moves%a.Interval == 0 {
-				dwell := Command{Code: "G4"}
-				dwell.Set('P', a.DwellSeconds*1000)
-				out.Commands = append(out.Commands, dwell)
-			}
-		}
-	}
-	return out, nil
-}

@@ -192,34 +192,3 @@ func TestVoidAttackReducesTotalExtrusion(t *testing.T) {
 		t.Errorf("void did not reduce extrusion: %v vs %v", finalE(out), finalE(p))
 	}
 }
-
-func TestFeedHoldAttack(t *testing.T) {
-	p := mustParse(t, benignSrc)
-	atk := &FeedHoldAttack{Interval: 2, DwellSeconds: 0.5}
-	out, err := atk.Apply(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dwells := 0
-	for i := range out.Commands {
-		if out.Commands[i].Code == "G4" {
-			dwells++
-			if v, _ := out.Commands[i].Get('P'); v != 500 {
-				t.Errorf("dwell P = %v, want 500", v)
-			}
-		}
-	}
-	// benignSrc has 6 moves -> dwell after moves 2, 4, 6.
-	if dwells != 3 {
-		t.Errorf("dwells = %d, want 3", dwells)
-	}
-	if _, err := (&FeedHoldAttack{Interval: 0, DwellSeconds: 1}).Apply(p); err == nil {
-		t.Error("interval 0: want error")
-	}
-	if _, err := (&FeedHoldAttack{Interval: 1, DwellSeconds: 0}).Apply(p); err == nil {
-		t.Error("zero dwell: want error")
-	}
-	if atk.Name() != "FeedHold" {
-		t.Errorf("Name = %q", atk.Name())
-	}
-}

@@ -1,18 +1,16 @@
 // Package ids defines the common vocabulary shared by every intrusion
 // detection system in the evaluation: the Run (one recorded printing
 // process with all six side-channel signals plus metadata), the Raw vs
-// Spectrogram transform, and the IDS interface that NSYNC and the five
-// prior IDSs all implement. Keeping it separate from the experiment
-// harness lets baseline implementations and the harness depend on it
-// without cycles.
+// Spectrogram transform, and the IDS interface that the five prior IDSs
+// implement (NSYNC itself is evaluated by experiment.EvaluateNSYNC).
+// Keeping it separate from the experiment harness lets baseline
+// implementations and the harness depend on it without cycles.
 package ids
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
-	"nsync/internal/core"
 	"nsync/internal/obs"
 	"nsync/internal/sensor"
 	"nsync/internal/sigproc"
@@ -144,96 +142,10 @@ func (r *Run) DropSpectroCache() {
 // Concurrency contract: Train is called once, alone; after it returns,
 // implementations must not mutate receiver state in Classify, so the
 // evaluation harness may call Classify concurrently on distinct runs.
-// Every IDS in this module (NSYNC and the five baselines) satisfies this.
+// Every IDS in this module (the five baselines) satisfies this.
 type IDS interface {
 	// Name identifies the IDS in reports.
 	Name() string
 	Train(ref *Run, train []*Run) error
 	Classify(obs *Run) (bool, error)
-}
-
-// NSYNC adapts the core NSYNC detector (Fig. 7) to the IDS interface for
-// one channel and transform.
-type NSYNC struct {
-	// Channel and Transform select the input signal.
-	Channel   sensor.Channel
-	Transform Transform
-	// Sync is the dynamic synchronizer (DWM or DTW).
-	Sync core.Synchronizer
-	// OCC is the threshold-learning margin (paper: r = 0.3 for NSYNC).
-	OCC core.OCCConfig
-	// SubModules optionally restricts the discriminator (for the
-	// per-sub-module columns of Tables VIII and IX); empty means all.
-	SubModules []core.SubModule
-	// Dist overrides the vertical distance metric (default correlation).
-	Dist sigproc.DistanceFunc
-
-	det *core.Detector
-}
-
-var _ IDS = (*NSYNC)(nil)
-
-// Name implements IDS.
-func (n *NSYNC) Name() string {
-	if n.Sync == nil {
-		return "nsync"
-	}
-	return "nsync/" + n.Sync.Name()
-}
-
-// Train implements IDS.
-func (n *NSYNC) Train(ref *Run, train []*Run) error {
-	if n.Sync == nil {
-		return errors.New("ids: NSYNC needs a synchronizer")
-	}
-	refSig, err := ref.Signal(n.Channel, n.Transform)
-	if err != nil {
-		return err
-	}
-	det, err := core.NewDetector(refSig, core.Config{
-		Sync:       n.Sync,
-		Dist:       n.Dist,
-		OCC:        n.OCC,
-		SubModules: n.SubModules,
-	})
-	if err != nil {
-		return err
-	}
-	sigs := make([]*sigproc.Signal, 0, len(train))
-	for _, tr := range train {
-		s, err := tr.Signal(n.Channel, n.Transform)
-		if err != nil {
-			return err
-		}
-		sigs = append(sigs, s)
-	}
-	if err := det.Train(sigs); err != nil {
-		return err
-	}
-	n.det = det
-	return nil
-}
-
-// Classify implements IDS.
-func (n *NSYNC) Classify(obs *Run) (bool, error) {
-	if n.det == nil {
-		return false, errors.New("ids: NSYNC is not trained")
-	}
-	s, err := obs.Signal(n.Channel, n.Transform)
-	if err != nil {
-		return false, err
-	}
-	v, err := n.det.Classify(s)
-	if err != nil {
-		return false, err
-	}
-	return v.Intrusion, nil
-}
-
-// Thresholds exposes the learned critical values (for reports).
-func (n *NSYNC) Thresholds() (core.Thresholds, error) {
-	if n.det == nil {
-		return core.Thresholds{}, errors.New("ids: NSYNC is not trained")
-	}
-	return n.det.Thresholds()
 }

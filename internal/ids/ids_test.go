@@ -5,8 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"nsync/internal/core"
-	"nsync/internal/dwm"
 	"nsync/internal/sensor"
 	"nsync/internal/sigproc"
 	"nsync/internal/stft"
@@ -156,60 +154,5 @@ func TestRunSignalErrors(t *testing.T) {
 	r.SpectroConfigs = nil
 	if _, err := r.Signal(sensor.ACC, Spectro); err == nil {
 		t.Error("missing spectro config: want error")
-	}
-}
-
-func TestNSYNCAdapterLifecycle(t *testing.T) {
-	base := testBase(3000)
-	params := dwm.Params{TWin: 0.5, THop: 0.25, TExt: 0.2, TSigma: 0.1, Eta: 0.1}
-	sys := &NSYNC{
-		Channel:   sensor.ACC,
-		Transform: Raw,
-		Sync:      &core.DWMSynchronizer{Params: params},
-		OCC:       core.OCCConfig{R: 0.5},
-	}
-	if sys.Name() != "nsync/dwm" {
-		t.Errorf("Name = %q", sys.Name())
-	}
-	if _, err := sys.Classify(fakeRun(9, base, false)); err == nil {
-		t.Error("untrained Classify: want error")
-	}
-	ref := fakeRun(1, base, false)
-	var train []*Run
-	for s := int64(2); s < 7; s++ {
-		train = append(train, fakeRun(s, base, false))
-	}
-	if err := sys.Train(ref, train); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Thresholds(); err != nil {
-		t.Errorf("Thresholds after training: %v", err)
-	}
-	flagged, err := sys.Classify(fakeRun(100, base, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flagged {
-		t.Error("benign run flagged")
-	}
-	flagged, err = sys.Classify(fakeRun(101, base, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !flagged {
-		t.Error("malicious run not flagged")
-	}
-}
-
-func TestNSYNCAdapterMissingSync(t *testing.T) {
-	sys := &NSYNC{Channel: sensor.ACC, Transform: Raw}
-	if sys.Name() != "nsync" {
-		t.Errorf("Name = %q", sys.Name())
-	}
-	if err := sys.Train(fakeRun(1, testBase(500), false), nil); err == nil {
-		t.Error("nil synchronizer: want error")
-	}
-	if _, err := sys.Thresholds(); err == nil {
-		t.Error("untrained Thresholds: want error")
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"nsync/internal/obs"
 	"nsync/internal/resilience"
@@ -36,16 +35,6 @@ func Resolve(workers int) int {
 	return workers
 }
 
-// Options configures MapOpts beyond the plain Map entry point.
-type Options struct {
-	// Workers is the pool size; values < 1 mean GOMAXPROCS.
-	Workers int
-	// TaskTimeout, when positive, bounds each work item: the item's context
-	// is cancelled after this long, and the item's resulting error (usually
-	// context.DeadlineExceeded) cancels the whole Map like any other.
-	TaskTimeout time.Duration
-}
-
 // Map applies f to every item on at most workers goroutines (workers < 1
 // means GOMAXPROCS) and returns the results in item order. Work items are
 // claimed in index order, but may complete in any order; out[i] always
@@ -57,29 +46,18 @@ type Options struct {
 // inside f is recovered into a *resilience.PanicError and treated as that
 // item's error.
 func Map[T, R any](ctx context.Context, workers int, items []T, f func(ctx context.Context, i int, item T) (R, error)) ([]R, error) {
-	return MapOpts(ctx, Options{Workers: workers}, items, f)
-}
-
-// MapOpts is Map with per-task deadlines. See Map for the scheduling,
-// determinism, cancellation, and panic-isolation rules.
-func MapOpts[T, R any](ctx context.Context, opts Options, items []T, f func(ctx context.Context, i int, item T) (R, error)) ([]R, error) {
 	n := len(items)
 	if n == 0 {
 		return nil, ctx.Err()
 	}
-	workers := Resolve(opts.Workers)
+	workers = Resolve(workers)
 	if workers > n {
 		workers = n
 	}
 	out := make([]R, n)
 
-	// call runs one item with panic isolation and the per-task deadline.
+	// call runs one item with panic isolation.
 	call := func(ctx context.Context, i int) (r R, err error) {
-		if opts.TaskTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, opts.TaskTimeout)
-			defer cancel()
-		}
 		defer func() {
 			if rec := recover(); rec != nil {
 				panicsRecovered.Inc()
@@ -151,14 +129,4 @@ func MapOpts[T, R any](ctx context.Context, opts Options, items []T, f func(ctx 
 		return nil, firstErr
 	}
 	return out, ctx.Err()
-}
-
-// Each runs f for indexes [0, n) with the same scheduling, determinism, and
-// cancellation rules as Map, for callers that fill their own structures.
-func Each(ctx context.Context, workers, n int, f func(ctx context.Context, i int) error) error {
-	idx := make([]struct{}, n)
-	_, err := Map(ctx, workers, idx, func(ctx context.Context, i int, _ struct{}) (struct{}, error) {
-		return struct{}{}, f(ctx, i)
-	})
-	return err
 }

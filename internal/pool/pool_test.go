@@ -117,19 +117,6 @@ func TestMapEmptyAndSerialPath(t *testing.T) {
 	}
 }
 
-func TestEach(t *testing.T) {
-	var sum atomic.Int64
-	if err := Each(context.Background(), 4, 10, func(_ context.Context, i int) error {
-		sum.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 45 {
-		t.Errorf("sum = %d, want 45", sum.Load())
-	}
-}
-
 func TestMapRecoversPanic(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		_, err := Map(context.Background(), workers, []int{0, 1, 2, 3}, func(_ context.Context, i, _ int) (int, error) {
@@ -199,24 +186,6 @@ func TestMapCancellationPrompt(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Map did not return promptly after cancellation")
-	}
-}
-
-func TestMapTaskTimeout(t *testing.T) {
-	start := time.Now()
-	_, err := MapOpts(context.Background(), Options{Workers: 2, TaskTimeout: 20 * time.Millisecond},
-		[]int{0, 1}, func(ctx context.Context, i, _ int) (int, error) {
-			if i == 1 {
-				<-ctx.Done() // stuck item: only the per-task deadline frees it
-				return 0, ctx.Err()
-			}
-			return i, nil
-		})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("task timeout took %v to fire", elapsed)
 	}
 }
 

@@ -99,8 +99,7 @@ func UnderExtrudeFirmware(n int) FirmwareHook {
 // DwellInjectorFirmware pauses the printer for dwellSeconds after every
 // interval moves — cold joints between otherwise perfect extrusions.
 // Because FirmwareHook is one-to-one, the pause is expressed by rewriting
-// the move to end with a zero-feed crawl; use gcode.FeedHoldAttack for the
-// stream-level equivalent that inserts true G4 dwells.
+// the move to end with a zero-feed crawl.
 func DwellInjectorFirmware(interval int, slowFactor float64) FirmwareHook {
 	if interval < 1 {
 		interval = 1

@@ -7,6 +7,7 @@
 package printer
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
@@ -77,17 +78,29 @@ var _ Kinematics = Delta{}
 // Name implements Kinematics.
 func (Delta) Name() string { return "delta" }
 
+// deltaTowers holds each delta tower's direction from the centre as
+// (cos, sin): 120 degrees apart, the first at 90 degrees.
+var deltaTowers = func() (t [3][2]float64) {
+	for i := range t {
+		ang := 2*math.Pi*float64(i)/3 + math.Pi/2
+		t[i] = [2]float64{math.Cos(ang), math.Sin(ang)}
+	}
+	return t
+}()
+
+// errUnreachable reports a tool position out of some delta arm's reach.
+var errUnreachable = errors.New("printer: position unreachable by a delta tower")
+
 // Actuators implements Kinematics.
 func (d Delta) Actuators(p Vec3) ([3]float64, error) {
 	var out [3]float64
-	for i := 0; i < 3; i++ {
-		ang := 2*math.Pi*float64(i)/3 + math.Pi/2
-		tx := d.TowerRadius * math.Cos(ang)
-		ty := d.TowerRadius * math.Sin(ang)
+	for i, u := range deltaTowers {
+		tx := d.TowerRadius * u[0]
+		ty := d.TowerRadius * u[1]
 		dx, dy := p.X-tx, p.Y-ty
 		h := d.ArmLength*d.ArmLength - dx*dx - dy*dy
 		if h < 0 {
-			return out, fmt.Errorf("printer: position (%.1f, %.1f) unreachable by delta tower %d", p.X, p.Y, i)
+			return out, errUnreachable
 		}
 		out[i] = p.Z + math.Sqrt(h)
 	}

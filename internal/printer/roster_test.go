@@ -129,7 +129,9 @@ func TestRunAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates the CI roster's six programs on both printers")
 	}
-	const maxRatio = 4.4
+	// maxObjects also bounds RM3, whose prints lie mostly out of the
+	// delta's reach: an unreachable sample must not allocate.
+	const maxRatio, maxObjects = 4.4, 1000
 	benign, malicious, err := experiment.CI().Programs()
 	if err != nil {
 		t.Fatal(err)
@@ -148,9 +150,13 @@ func TestRunAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 			ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(traceBytes(tr))
-			t.Logf("%s %s: %.2f× the trace's %d bytes", prof.Name, name, ratio, traceBytes(tr))
+			objects := after.Mallocs - before.Mallocs
+			t.Logf("%s %s: %.2f× the trace's %d bytes, %d objects", prof.Name, name, ratio, traceBytes(tr), objects)
 			if ratio > maxRatio {
 				t.Errorf("%s %s: Run allocated %.2f× its trace's bytes, want at most %v×", prof.Name, name, ratio, maxRatio)
+			}
+			if objects > maxObjects {
+				t.Errorf("%s %s: Run allocated %d objects, want at most %d", prof.Name, name, objects, maxObjects)
 			}
 		}
 	}

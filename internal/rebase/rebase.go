@@ -283,15 +283,6 @@ func (ch *engineChannel) absorb(observed *sigproc.Signal, hdisp []float64, alpha
 	}
 }
 
-// Channels returns the channel names in configuration order.
-func (e *Engine) Channels() []string {
-	out := make([]string, len(e.chans))
-	for i, ch := range e.chans {
-		out[i] = ch.name
-	}
-	return out
-}
-
 // Reference returns a copy of channel i's evolved reference.
 func (e *Engine) Reference(i int) *sigproc.Signal { return e.chans[i].ref.Clone() }
 

@@ -95,9 +95,6 @@ func TestEngineAbsorbsBenignPrints(t *testing.T) {
 		train = append(train, jittered(rng, ref, 300))
 	}
 	e := newTestEngine(t, Config{Margin: 1, Window: 12}, ref, train)
-	if got := e.Channels(); len(got) != 1 || got[0] != "acc" {
-		t.Fatalf("Channels() = %v", got)
-	}
 	before := e.Reference(0)
 	thBefore := e.Thresholds(0)
 	res, err := e.Absorb([]*sigproc.Signal{jittered(rng, ref, 300)})

@@ -21,7 +21,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"strings"
 
 	"nsync/internal/checkpoint"
 	"nsync/internal/core"
@@ -139,17 +138,4 @@ func (s *Store) Get(version string) (*Model, bool, error) {
 		return nil, false, err
 	}
 	return &m, true, nil
-}
-
-// Versions lists every stored model version, in unspecified order.
-func (s *Store) Versions() ([]string, error) {
-	keys, err := s.ckpt.Keys(storeKeyPrefix)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, len(keys))
-	for i, k := range keys {
-		out[i] = strings.TrimPrefix(k, storeKeyPrefix)
-	}
-	return out, nil
 }

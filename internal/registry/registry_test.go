@@ -107,25 +107,6 @@ func TestStoreRoundTrip(t *testing.T) {
 	if _, ok, err := s.Get("no-such-version"); ok || err != nil {
 		t.Fatalf("missing version: ok=%v err=%v", ok, err)
 	}
-	m2 := testModel(4)
-	v3, err := s.Put(m2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	versions, err := s.Versions()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(versions) != 2 {
-		t.Fatalf("Versions = %v, want 2 entries", versions)
-	}
-	seen := map[string]bool{}
-	for _, got := range versions {
-		seen[got] = true
-	}
-	if !seen[v] || !seen[v3] {
-		t.Fatalf("Versions = %v, want %s and %s", versions, v, v3)
-	}
 }
 
 func TestDeploymentWalksShadowCanaryActive(t *testing.T) {

@@ -74,17 +74,6 @@ func NewChaos(cfg ChaosConfig) (*Chaos, error) {
 	return &Chaos{cfg: cfg}, nil
 }
 
-// Wrap decorates a pipeline stage with a strike before the real work, so
-// any func(ctx) error can be chaos-tested without changing its body.
-func (c *Chaos) Wrap(op func(ctx context.Context) error) func(ctx context.Context) error {
-	return func(ctx context.Context) error {
-		if err := c.Strike(ctx); err != nil {
-			return err
-		}
-		return op(ctx)
-	}
-}
-
 // Strike makes one injection decision: it may sleep (latency), panic, or
 // return a transient error, in that order of evaluation with independent
 // draws. The decision depends only on the seed and the strike ordinal, so a

@@ -104,18 +104,6 @@ func TestChaosDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestChaosWrap(t *testing.T) {
-	c, err := NewChaos(ChaosConfig{Seed: 3, ErrorRate: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ran := false
-	wrapped := c.Wrap(func(context.Context) error { ran = true; return nil })
-	if werr := wrapped(context.Background()); werr == nil || ran {
-		t.Fatalf("wrapped stage: err=%v ran=%v, want injected error before the stage", werr, ran)
-	}
-}
-
 func TestChaosConfigValidate(t *testing.T) {
 	bad := []ChaosConfig{
 		{PanicRate: -0.1},

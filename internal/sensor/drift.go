@@ -105,9 +105,8 @@ func (sp DriftSpec) String() string {
 // channel, and the print index only, so any print of the sequence can be
 // generated independently and in any order.
 type DriftInjector struct {
-	seed   int64
-	specs  []DriftSpec
-	faults *fault.Injector
+	seed  int64
+	specs []DriftSpec
 }
 
 // NewDriftInjector builds an injector for the given specs.
@@ -122,12 +121,6 @@ func NewDriftInjector(seed int64, specs ...DriftSpec) (*DriftInjector, error) {
 
 // Specs returns a copy of the injector's drift specs.
 func (d *DriftInjector) Specs() []DriftSpec { return append([]DriftSpec(nil), d.specs...) }
-
-// ComposeFaults chains a fault injector after the drift processes: Apply
-// first drifts the signal, then corrupts it in place with inj's specs. This
-// is how a robustness scenario combines chronic drift with an acute fault
-// ("a slowly degrading sensor that also loses a connector at print 7").
-func (d *DriftInjector) ComposeFaults(inj *fault.Injector) { d.faults = inj }
 
 // Apply returns a copy of s as print number print (1-based) of a drifting
 // sequence would have captured it on side channel ch. Print 0 is the
@@ -147,11 +140,6 @@ func (d *DriftInjector) Apply(s *sigproc.Signal, ch Channel, print int) (*sigpro
 		}
 		if err := applyDrift(out, sp, d.rng(i, ch), print); err != nil {
 			return nil, fmt.Errorf("sensor: drift spec %d (%v): %w", i, sp, err)
-		}
-	}
-	if d.faults != nil {
-		if err := d.faults.ApplyInPlace(out); err != nil {
-			return nil, fmt.Errorf("sensor: drift: %w", err)
 		}
 	}
 	return out, nil

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"nsync/internal/fault"
 	"nsync/internal/sigproc"
 )
 
@@ -137,32 +136,6 @@ func TestDriftChannelRestriction(t *testing.T) {
 	}
 	if reflect.DeepEqual(mag.Data, sig.Data) {
 		t.Fatal("MAG-only drift must change MAG")
-	}
-}
-
-func TestDriftComposesFaults(t *testing.T) {
-	sig := driftTestSignal()
-	inj, err := NewDriftInjector(1, DriftSpec{Kind: DriftGain, Rate: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fi, err := fault.NewInjector(9, fault.Spec{Kind: fault.Dropout, Severity: 1, Onset: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj.ComposeFaults(fi)
-	out, err := inj.Apply(sig, ACC, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The dropout zeroes everything from onset to the end, after the gain.
-	for i := 200; i < out.Len(); i++ {
-		if out.Data[0][i] != 0 {
-			t.Fatalf("composed fault not applied: sample %d = %v", i, out.Data[0][i])
-		}
-	}
-	if out.Data[0][10] == sig.Data[0][10] {
-		t.Fatal("drift not applied before the fault")
 	}
 }
 

@@ -145,11 +145,6 @@ func (s *Signal) SliceClamped(n1, n2 int) *Signal {
 	return s.Slice(n1, n2)
 }
 
-// Channel returns the single-channel view x[:, c].
-func (s *Signal) Channel(c int) *Signal {
-	return &Signal{Rate: s.Rate, Data: [][]float64{s.Data[c]}}
-}
-
 // Clone returns a deep copy of s.
 func (s *Signal) Clone() *Signal {
 	out := New(s.Rate, s.Channels(), s.Len())

@@ -32,16 +32,6 @@ func Correlation(u, v []float64) float64 {
 	return dot / math.Sqrt(uu*vv)
 }
 
-// Dot is the plain inner-product similarity. Unlike Correlation it is
-// sensitive to gain; it exists mainly for tests and ablations.
-func Dot(u, v []float64) float64 {
-	var dot float64
-	for i := range u {
-		dot += u[i] * v[i]
-	}
-	return dot
-}
-
 // CosineSimilarity is the normalized inner product. Returns 0 when either
 // vector is all-zero.
 func CosineSimilarity(u, v []float64) float64 {

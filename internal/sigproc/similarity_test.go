@@ -95,12 +95,6 @@ func TestCosineSimilarity(t *testing.T) {
 	}
 }
 
-func TestDot(t *testing.T) {
-	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
-		t.Errorf("Dot = %v, want 32", got)
-	}
-}
-
 func TestMultiChannelSimilarityAverages(t *testing.T) {
 	// Channel 0 correlates perfectly; channel 1 anti-correlates.
 	x := &Signal{Rate: 1, Data: [][]float64{{1, 2, 3}, {1, 2, 3}}}

@@ -3,7 +3,7 @@ package sigproc
 import "math"
 
 // WindowFunc generates an n-point window. Windows taper analysis frames to
-// reduce spectral leakage in the STFT and to bias similarity arrays in TDEB.
+// reduce spectral leakage in the STFT.
 type WindowFunc func(n int) []float64
 
 // Boxcar returns the rectangular window (all ones). The paper uses it for
@@ -46,28 +46,6 @@ func BlackmanHarris(n int) []float64 {
 	for i := range w {
 		x := 2 * math.Pi * float64(i) / float64(n-1)
 		w[i] = a0 - a1*math.Cos(x) + a2*math.Cos(2*x) - a3*math.Cos(3*x)
-	}
-	return w
-}
-
-// Gaussian returns an n-point Gaussian window centered at (n-1)/2 with the
-// given standard deviation sigma, expressed in samples. It is the bias
-// window of TDEB (Section VI-B): multiplying a similarity array by it pulls
-// the argmax toward the center.
-func Gaussian(n int, sigma float64) []float64 {
-	w := make([]float64, n)
-	if n == 0 {
-		return w
-	}
-	if sigma <= 0 {
-		// Degenerate bias: only the exact center survives.
-		w[(n-1)/2] = 1
-		return w
-	}
-	center := float64(n-1) / 2
-	for i := range w {
-		d := (float64(i) - center) / sigma
-		w[i] = math.Exp(-0.5 * d * d)
 	}
 	return w
 }

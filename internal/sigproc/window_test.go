@@ -1,9 +1,6 @@
 package sigproc
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestBoxcar(t *testing.T) {
 	w := Boxcar(5)
@@ -43,40 +40,5 @@ func TestBlackmanHarrisProperties(t *testing.T) {
 	}
 	if got := BlackmanHarris(1); got[0] != 1 {
 		t.Errorf("BlackmanHarris(1) = %v, want [1]", got)
-	}
-}
-
-func TestGaussianWindow(t *testing.T) {
-	w := Gaussian(11, 2)
-	if !almostEqual(w[5], 1, 1e-12) {
-		t.Errorf("Gaussian center = %v, want 1", w[5])
-	}
-	for i := 0; i < 5; i++ {
-		if !almostEqual(w[i], w[10-i], 1e-12) {
-			t.Errorf("Gaussian asymmetric at %d", i)
-		}
-		if w[i] >= w[i+1] {
-			t.Errorf("Gaussian not increasing toward center at %d", i)
-		}
-	}
-	// One-sigma point: exp(-0.5).
-	if !almostEqual(w[3], math.Exp(-0.5), 1e-12) {
-		t.Errorf("Gaussian 1-sigma = %v, want %v", w[3], math.Exp(-0.5))
-	}
-}
-
-func TestGaussianDegenerateSigma(t *testing.T) {
-	w := Gaussian(7, 0)
-	for i, v := range w {
-		want := 0.0
-		if i == 3 {
-			want = 1
-		}
-		if v != want {
-			t.Errorf("Gaussian(7,0)[%d] = %v, want %v", i, v, want)
-		}
-	}
-	if got := Gaussian(0, 1); len(got) != 0 {
-		t.Errorf("Gaussian(0) length = %d, want 0", len(got))
 	}
 }
