@@ -60,12 +60,15 @@ type FusedChannelState struct {
 // the remaining healthy channels keep detecting.
 //
 // Detection trails health clearance by one health window: a window's samples
-// are synchronized only once the NEXT window has also been judged healthy.
+// are committed only once the NEXT window has also been judged healthy.
 // A fault whose onset falls mid-window damages that window too mildly to
 // quarantine, but fully covers the next one — the lag ensures the damaged
 // suffix is still withheld instead of being synchronized into a stuck alarm
 // moments before quarantine lands. The cost is bounded detection latency
-// (two health windows, 4 s at defaults), not accuracy.
+// (two health windows, 4 s at defaults), not accuracy. The DWM work does
+// not wait for the lag: each channel's next window is proposed as soon as
+// its samples arrive and committed when health clears it, so Flush commits
+// that window instead of synchronizing it (see DESIGN.md §9).
 //
 // A FusedMonitor is not safe for concurrent use.
 type FusedMonitor struct {
@@ -181,20 +184,21 @@ func (fm *FusedMonitor) Push(chunks []*sigproc.Signal) ([]FusedAlert, error) {
 		}
 		// Forward only samples trailing the health frontier by a full
 		// window (see the type doc on detection lag).
-		clear := ch.health.ClearedSamples() - ch.health.WindowSamples() - ch.forwarded
-		if clear <= 0 {
-			continue
+		if clear := ch.health.ClearedSamples() - ch.health.WindowSamples() - ch.forwarded; clear > 0 {
+			alerts, err := ch.mon.Push(ch.pending.SliceInto(&ch.fwdView, 0, clear))
+			if err != nil {
+				return nil, fmt.Errorf("core: fused monitor channel %s: %w", ch.name, err)
+			}
+			ch.pending.DropFront(clear)
+			ch.forwarded += clear
+			fusedPending.Observe(float64(ch.pending.Len()))
+			if len(alerts) > 0 {
+				ch.voting = true
+			}
 		}
-		alerts, err := ch.mon.Push(ch.pending.SliceInto(&ch.fwdView, 0, clear))
-		if err != nil {
-			return nil, fmt.Errorf("core: fused monitor channel %s: %w", ch.name, err)
-		}
-		ch.pending.DropFront(clear)
-		ch.forwarded += clear
-		fusedPending.Observe(float64(ch.pending.Len()))
-		if len(alerts) > 0 {
-			ch.voting = true
-		}
+		// Synchronize the next window as soon as its samples are here; it
+		// is committed once health clears it.
+		ch.mon.lookahead(ch.pending)
 	}
 	return fm.fuse(), nil
 }

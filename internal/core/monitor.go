@@ -64,13 +64,25 @@ type Monitor struct {
 	features         Features
 	flushed          bool
 
+	// ahead, aheadV and aheadErr memoise the fallible half of the next
+	// window's step, which lookahead computes before the window's samples
+	// are pushed. The memo is keyed by the window index (aheadIdx, -1 when
+	// empty) and by every sample bit of the window (aheadWin), so a hit is
+	// the computation a miss would run; Reset empties it.
+	ahead    dwm.Proposal
+	aheadV   float64
+	aheadErr error
+	aheadIdx int
+
 	// Session scratch (DESIGN.md §13): the sliding observed-window and
-	// displaced-reference views resliced per step, and the padded final
-	// window rebuilt per Flush. All are fully overwritten before use and
-	// survive Reset, so a pooled long-running monitor stops allocating.
+	// displaced-reference views resliced per step, the padded final window
+	// rebuilt per Flush, and the memoised window. All are fully overwritten
+	// before use and survive Reset, so a pooled long-running monitor stops
+	// allocating.
 	winView  sigproc.Signal
 	refView  sigproc.Signal
 	flushWin *sigproc.Signal
+	aheadWin *sigproc.Signal
 }
 
 // NewMonitor builds a streaming monitor from a trained detector
@@ -88,6 +100,7 @@ func NewMonitor(reference *sigproc.Signal, params dwm.Params, thresholds Thresho
 		thresholds: thresholds,
 		filterN:    DefaultFilterWindow,
 		buf:        &sigproc.Signal{Rate: reference.Rate},
+		aheadIdx:   -1,
 	}
 	m.features.IndexRate = reference.Rate / float64(s.SampleParams().NHop)
 	for _, o := range opts {
@@ -193,32 +206,21 @@ func (m *Monitor) BridgeGap(n int) ([]Alert, error) {
 // before any state mutates, so a failed window leaves the synchronizer,
 // the feature arrays, and the filter buffers exactly where they were — the
 // same window is retried by the next Push instead of being silently
-// skipped with Features desynced from WindowsProcessed.
+// skipped with Features desynced from WindowsProcessed. The fallible half
+// comes from the lookahead memo when it was computed on this window.
 func (m *Monitor) step(i int, win *sigproc.Signal) ([]Alert, error) {
 	tw := monitorWindowTimer.Start()
-	p, err := m.sync.Propose(win)
-	if err != nil {
-		return nil, err
+	p, v, err := m.ahead, m.aheadV, m.aheadErr
+	if m.aheadIdx != i || !sameBits(win, m.aheadWin) {
+		p, v, err = m.propose(i, win)
 	}
-	h := p.HDisp
-	sp := m.sync.SampleParams()
-	// Vertical distance against the displaced reference window (Eq. 16).
-	lo := i*sp.NHop + h
-	bn := m.reference.Len()
-	if lo < 0 {
-		lo = 0
-	}
-	if lo+sp.NWin > bn {
-		lo = bn - sp.NWin
-	}
-	v, err := sigproc.MultiChannelDistance(m.dist, win, m.reference.SliceInto(&m.refView, lo, lo+sp.NWin))
 	if err != nil {
 		return nil, err
 	}
 
 	// Nothing below can fail: commit the synchronizer step and mutate.
 	m.sync.Commit(p)
-	hf := float64(h)
+	hf := float64(p.HDisp)
 	m.cdisp += math.Abs(hf - m.prevH)
 	m.prevH = hf
 
@@ -231,6 +233,7 @@ func (m *Monitor) step(i int, win *sigproc.Signal) ([]Alert, error) {
 	m.features.HDist = append(m.features.HDist, hFilt)
 	m.features.VDist = append(m.features.VDist, vFilt)
 
+	sp := m.sync.SampleParams()
 	t := float64(i*sp.NHop) / m.reference.Rate
 	var alerts []Alert
 	if m.cdisp > m.thresholds.CC {
@@ -245,6 +248,77 @@ func (m *Monitor) step(i int, win *sigproc.Signal) ([]Alert, error) {
 	m.alerts = append(m.alerts, alerts...)
 	monitorWindowTimer.Stop(tw)
 	return alerts, nil
+}
+
+// propose computes the fallible half of window i's step, the DWM proposal
+// and the vertical distance against the displaced reference window (Eq.
+// 16), without mutating any stream state. It is a pure function of the
+// window's samples, the reference, and the synchronizer's position, which
+// only committing window i advances.
+func (m *Monitor) propose(i int, win *sigproc.Signal) (dwm.Proposal, float64, error) {
+	p, err := m.sync.Propose(win)
+	if err != nil {
+		return p, 0, err
+	}
+	sp := m.sync.SampleParams()
+	// Vertical distance against the displaced reference window (Eq. 16).
+	lo := i*sp.NHop + p.HDisp
+	bn := m.reference.Len()
+	if lo < 0 {
+		lo = 0
+	}
+	if lo+sp.NWin > bn {
+		lo = bn - sp.NWin
+	}
+	v, err := sigproc.MultiChannelDistance(m.dist, win, m.reference.SliceInto(&m.refView, lo, lo+sp.NWin))
+	return p, v, err
+}
+
+// lookahead fills the memo with the next window's proposal when the
+// buffered samples followed by next complete that window, so the window's
+// DWM work runs when its samples arrive rather than when they are pushed.
+// A memo already filled for the next window is kept. next is not consumed:
+// the same samples must still be pushed for the window to be committed.
+func (m *Monitor) lookahead(next *sigproc.Signal) {
+	i := m.sync.WindowIndex()
+	if m.flushed || m.aheadIdx == i {
+		return
+	}
+	sp := m.sync.SampleParams()
+	start := i*sp.NHop - m.consumed
+	have := m.buf.Len()
+	if start < 0 || start+sp.NWin > have+next.Len() ||
+		next.Len() > 0 && next.Channels() != m.reference.Channels() {
+		return
+	}
+	if m.aheadWin == nil {
+		m.aheadWin = sigproc.New(m.reference.Rate, m.reference.Channels(), sp.NWin)
+	}
+	for c, lane := range m.aheadWin.Data {
+		k := 0
+		if start < have {
+			k = copy(lane, m.buf.Data[c][start:])
+		}
+		if k < sp.NWin {
+			copy(lane[k:], next.Data[c][max(start-have, 0):])
+		}
+	}
+	m.ahead, m.aheadV, m.aheadErr = m.propose(i, m.aheadWin)
+	m.aheadIdx = i
+}
+
+// sameBits reports whether two equally shaped signals hold the same
+// samples, bit for bit.
+func sameBits(a, b *sigproc.Signal) bool {
+	for c, lane := range a.Data {
+		other := b.Data[c][:len(lane)]
+		for j, x := range lane {
+			if math.Float64bits(x) != math.Float64bits(other[j]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Buffered returns how many pushed samples are sitting in the monitor's
@@ -371,6 +445,7 @@ func (m *Monitor) Reset() {
 	m.features.HDist = m.features.HDist[:0]
 	m.features.VDist = m.features.VDist[:0]
 	m.flushed = false
+	m.aheadIdx = -1
 }
 
 // Alerts returns all alerts raised so far.

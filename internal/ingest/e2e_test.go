@@ -229,6 +229,27 @@ func TestE2EVerdictEquivalence(t *testing.T) {
 	}
 }
 
+// TestSessionFinishTimed: the worker times each session's verdict path —
+// the resequencers' flush and Sink.Finish — once per session that ends in
+// a verdict, before the verdict reaches the client.
+func TestSessionFinishTimed(t *testing.T) {
+	obs.SetEnabled(true)
+	t.Cleanup(func() { obs.SetEnabled(false) })
+	fx := fixture(t)
+	addr, _ := startServer(t, Config{Factory: fx.pool(t, 1), ReadTimeout: 20 * time.Second})
+	before := metFinish.Histogram().Count()
+	rng := rand.New(rand.NewSource(23))
+	for i, mk := range []func(*rand.Rand, *sigproc.Signal) *sigproc.Signal{perturbed, attacked, perturbed} {
+		runs := []*sigproc.Signal{mk(rng, fx.refs[0]), mk(rng, fx.refs[1])}
+		if _, err := Replay(addr, fx.hello(fmt.Sprintf("finish-%d", i), 100), runs, ReplayOptions{FrameSamples: 64}); err != nil {
+			t.Fatalf("replay %d: %v", i, err)
+		}
+		if got := metFinish.Histogram().Count() - before; got != int64(i+1) {
+			t.Fatalf("after %d verdicts, session.finish has %d observations", i+1, got)
+		}
+	}
+}
+
 // TestE2EDeadChannelDegrades kills one sensor mid-print (data stops at half
 // the stream, EOS still declares the full extent): the gap fill must drive
 // that channel into health quarantine, not into false votes, and the

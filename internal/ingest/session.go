@@ -31,6 +31,9 @@ var (
 	metEvicted   = obs.GetCounter("session.evicted")
 	metFailed    = obs.GetCounter("session.failed")
 	metResumed   = obs.GetCounter("session.resumed")
+	// metFinish times a session's verdict path: the resequencers' flush
+	// and Sink.Finish.
+	metFinish    = obs.GetTimer("session.finish")
 	metTenantRej = obs.GetCounter("ingest.tenant_rejected")
 )
 
@@ -381,7 +384,10 @@ func (s *session) run() {
 				continue
 			}
 			if q.reason != "" {
-				if v, err := s.finish(q.reason); err != nil {
+				t := metFinish.Start()
+				v, err := s.finish(q.reason)
+				metFinish.Stop(t)
+				if err != nil {
 					s.step(event{kind: evFail, reason: fmt.Sprintf("session failed: %v", err)})
 				} else {
 					s.step(event{kind: evVerdict, verdict: v})

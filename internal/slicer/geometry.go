@@ -149,16 +149,6 @@ func (p Polygon) Contains(pt Point) bool {
 	return inside
 }
 
-// Perimeter returns the total edge length.
-func (p Polygon) Perimeter() float64 {
-	var sum float64
-	for i := range p {
-		j := (i + 1) % len(p)
-		sum += math.Hypot(p[j].X-p[i].X, p[j].Y-p[i].Y)
-	}
-	return sum
-}
-
 // Segment is a 2-D line segment.
 type Segment struct {
 	A, B Point

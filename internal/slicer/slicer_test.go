@@ -73,13 +73,6 @@ func TestOffsetInward(t *testing.T) {
 	}
 }
 
-func TestPerimeter(t *testing.T) {
-	sq := Polygon{{0, 0}, {4, 0}, {4, 4}, {0, 4}}
-	if got := sq.Perimeter(); math.Abs(got-16) > 1e-12 {
-		t.Errorf("Perimeter = %v, want 16", got)
-	}
-}
-
 func TestBounds(t *testing.T) {
 	p := Polygon{{-1, 2}, {5, -3}, {0, 7}}
 	minX, minY, maxX, maxY := p.Bounds()

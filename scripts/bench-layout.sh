@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Builds the benchmark binary exactly as bench/run.sh does and prints where
-# the linker placed the machine-speed probe's kernel and the evaluation
-# path's two hottest kernels: each symbol's address and that address mod 64.
+# the linker placed the machine-speed probe's kernel, the evaluation path's
+# two hottest kernels and the fleet path's hot functions: each symbol's
+# address and that address mod 64.
 # Any change to linked code can shift them, and a shift of the probe from
 # 32 to 0 mod 64 changes its timing and with it every metric the benchmark
 # scales to reference machine speed (see ROADMAP.md item 1).
@@ -31,18 +32,20 @@ export GOCACHE="$out/go/cache" GOPATH="$out/go/path" GOMODCACHE="$out/go/path/pk
 	XDG_CONFIG_HOME="$out/go/config" XDG_CACHE_HOME="$out/go/cache-home" \
 	GOENV=off GOWORK=off GOTOOLCHAIN=local GOPROXY=off GOFLAGS=-mod=readonly CGO_ENABLED=0
 
-# layout prints the probe's and the two kernels' addresses in binary $1.
+# layout prints the addresses of the probe, the eval kernels and the fleet's
+# hot path (TDE's FFT branch and the monitor's window step) in binary $1.
 layout() {
 	local syms sym addr
 	syms="$(go tool nm -n "$1")"
-	for sym in 'main.(*machineProbe).loop' 'nsync/internal/fft.radix2' 'nsync/internal/tde.directDotsInto'; do
+	for sym in 'main.(*machineProbe).loop' 'nsync/internal/fft.radix2' 'nsync/internal/tde.directDotsInto' \
+		'nsync/internal/tde.crossDotsInto' 'nsync/internal/tde.pearsonInto' 'nsync/internal/core.(*Monitor).step'; do
 		addr="$(awk -v s="$sym" '$2 == "T" && $3 == s { print $1 }' <<<"$syms")"
 		if [ -z "$addr" ]; then
 			# A function the compiler inlined into every caller has no symbol.
-			printf '%-36s (no symbol: inlined)\n' "$sym"
+			printf '%-40s (no symbol: inlined)\n' "$sym"
 			continue
 		fi
-		printf '%-36s 0x%x  %2d mod 64\n' "$sym" "0x$addr" "$((0x$addr % 64))"
+		printf '%-40s 0x%x  %2d mod 64\n' "$sym" "0x$addr" "$((0x$addr % 64))"
 	done
 }
 
